@@ -77,8 +77,19 @@ class Deadline {
   explicit Deadline(Clock::time_point when) : when_(when) {}
 
   static Deadline Infinite() { return Deadline(); }
-  static Deadline AfterMillis(int64_t ms) {
-    return Deadline(Clock::now() + std::chrono::milliseconds(ms));
+  // `ms` from now, in whole milliseconds (the fraction is dropped).
+  // Saturates: below 1 is already expired, and a point the clock cannot
+  // represent (or NaN) is Infinite().
+  static Deadline AfterMillis(double ms) {
+    // Largest ms whose nanosecond count fits in int64.
+    constexpr double kMaxMillis =
+        static_cast<double>(std::chrono::nanoseconds::max().count()) / 1e6;
+    const Clock::time_point now = Clock::now();
+    if (!(ms < kMaxMillis)) return Infinite();
+    const int64_t whole = ms < 1 ? 0 : static_cast<int64_t>(ms);
+    const std::chrono::milliseconds after(whole);
+    if (after >= Clock::time_point::max() - now) return Infinite();
+    return Deadline(now + after);
   }
 
   bool IsInfinite() const { return when_ == Clock::time_point::max(); }

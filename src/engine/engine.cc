@@ -542,8 +542,7 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
   CancellationToken token;
   token.set_budget(&budget);
   if (limits.deadline_ms > 0) {
-    token.ArmDeadline(
-        Deadline::AfterMillis(static_cast<int64_t>(limits.deadline_ms)));
+    token.ArmDeadline(Deadline::AfterMillis(limits.deadline_ms));
   }
 
   // Registered before admission so Kill() reaches queued queries too;

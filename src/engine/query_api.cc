@@ -1,7 +1,9 @@
 #include "engine/query_api.h"
 
+#include <algorithm>
 #include <cstdio>
 
+#include "common/escape.h"
 #include "xml/parser.h"
 
 namespace rox::engine {
@@ -10,7 +12,7 @@ namespace {
 
 void AppendQuotedString(std::string* out, std::string_view s) {
   out->push_back('"');
-  obs::AppendJsonEscaped(out, s);
+  AppendJsonEscaped(out, s);
   out->push_back('"');
 }
 
@@ -109,13 +111,21 @@ std::string QueryResponse::ToJson(const ResponseJsonOptions& opts) const {
   out.append(",\n  ");
   AppendKey(&out, "rows");
   out.append("[");
-  std::vector<std::string> rows = SerializeResultRows(result, opts.max_rows);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out.append(i == 0 ? "\n    " : ",\n    ");
-    AppendQuotedString(&out, rows[i]);
+  // Each row is serialized straight into the body, already escaped as a
+  // JSON string.
+  size_t rows = 0;
+  if (result.snapshot != nullptr && result.result_doc != kInvalidDocId) {
+    rows = opts.max_rows > 0 ? std::min(total_rows, opts.max_rows)
+                             : total_rows;
+    const Document& doc = result.snapshot->doc(result.result_doc);
+    for (size_t i = 0; i < rows; ++i) {
+      out.append(i == 0 ? "\n    \"" : ",\n    \"");
+      AppendSubtree(doc, (*result.items)[i], XmlOutput::kJsonString, &out);
+      out.push_back('"');
+    }
   }
-  out.append(rows.empty() ? "]" : "\n  ]");
-  if (rows.size() < total_rows) {
+  out.append(rows == 0 ? "]" : "\n  ]");
+  if (rows < total_rows) {
     out.append(",\n  ");
     AppendKey(&out, "rows_truncated");
     out.append("true");

@@ -157,9 +157,9 @@ struct QueryResponse {
 };
 
 // Serializes up to `max_rows` result items (0 = all) as XML subtree
-// strings through the result's pinned snapshot — the row
-// serialization shared by QueryResponse::ToJson and xq_shell's
-// pretty-printer. Empty when the result holds no items.
+// strings through the result's pinned snapshot: the rows of
+// QueryResponse::ToJson, one string each, for xq_shell's pretty-printer
+// and tests. Empty when the result holds no items.
 std::vector<std::string> SerializeResultRows(const QueryResult& result,
                                              size_t max_rows = 0);
 

@@ -4,7 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/trace.h"  // AppendJsonEscaped
+#include "common/escape.h"
 
 namespace rox::obs {
 

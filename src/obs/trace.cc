@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/escape.h"
 
 namespace rox::obs {
 
@@ -68,36 +69,6 @@ bool ParseTraceLevel(std::string_view text, TraceLevel* out) {
     return false;
   }
   return true;
-}
-
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 QueryTrace::QueryTrace(TraceLevel level)

@@ -174,9 +174,6 @@ class ScopedSpan {
   uint32_t id_ = 0;
 };
 
-// Minimal JSON string escaping (shared by trace and metrics dumps).
-void AppendJsonEscaped(std::string* out, std::string_view s);
-
 }  // namespace rox::obs
 
 #endif  // ROX_OBS_TRACE_H_

@@ -158,14 +158,30 @@ void HttpParser::ParseHeaders() {
     Fail(501, "transfer encodings not implemented");
     return;
   }
+  // Content-Length is digits only (no sign, space or list), and every
+  // copy of it must agree: the body boundary is where the next
+  // pipelined request starts, so any doubt about it is a 400.
   body_expected_ = 0;
-  if (const std::string* cl = request_.FindHeader("Content-Length")) {
-    char* parse_end = nullptr;
-    unsigned long long v = std::strtoull(cl->c_str(), &parse_end, 10);
-    if (cl->empty() || parse_end == nullptr || *parse_end != '\0') {
+  const std::string* length = nullptr;
+  for (const auto& [name, value] : request_.headers) {
+    if (!EqualsIgnoreCase(name, "Content-Length")) continue;
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos) {
       Fail(400, "malformed Content-Length");
       return;
     }
+    if (length != nullptr && *length != value) {
+      Fail(400, "conflicting Content-Length headers");
+      return;
+    }
+    length = &value;
+  }
+  if (length != nullptr) {
+    // 19 digits always fit in 64 bits; longer values are refused as
+    // too large.
+    const uint64_t v = length->size() > 19
+                           ? UINT64_MAX
+                           : std::strtoull(length->c_str(), nullptr, 10);
     if (v > limits_.max_body_bytes) {
       Fail(413, "request body exceeds limit");
       return;
@@ -216,8 +232,8 @@ std::string_view HttpReasonPhrase(int status) {
   }
 }
 
-std::string BuildHttpResponse(int status, std::string_view content_type,
-                              std::string_view body, bool keep_alive) {
+std::string BuildHttpResponseHead(int status, std::string_view content_type,
+                                  size_t content_length, bool keep_alive) {
   char head[256];
   int n = std::snprintf(
       head, sizeof(head),
@@ -228,10 +244,9 @@ std::string BuildHttpResponse(int status, std::string_view content_type,
       "\r\n",
       status, static_cast<int>(HttpReasonPhrase(status).size()),
       HttpReasonPhrase(status).data(), static_cast<int>(content_type.size()),
-      content_type.data(), body.size(), keep_alive ? "keep-alive" : "close");
-  std::string out(head, static_cast<size_t>(n));
-  out.append(body);
-  return out;
+      content_type.data(), content_length,
+      keep_alive ? "keep-alive" : "close");
+  return std::string(head, static_cast<size_t>(n));
 }
 
 }  // namespace rox::server

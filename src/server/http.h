@@ -13,7 +13,8 @@
 //   * keep-alive (HTTP/1.1 default; "Connection: close" honored)
 //   * no chunked encoding, no continuation lines, no trailers
 //
-// BuildHttpResponse renders the matching response bytes.
+// BuildHttpResponseHead renders the head of the matching response; the
+// body is sent after it as a separate buffer.
 
 #ifndef ROX_SERVER_HTTP_H_
 #define ROX_SERVER_HTTP_H_
@@ -54,7 +55,7 @@ struct HttpParserLimits {
 //
 //   parser.Feed(data, n);
 //   while (parser.HasRequest()) { HttpRequest r = parser.TakeRequest(); }
-//   if (parser.failed()) { send BuildHttpResponse(parser.error_status(),...) }
+//   if (parser.failed()) { answer parser.error_status() and close }
 class HttpParser {
  public:
   HttpParser() = default;
@@ -97,10 +98,11 @@ class HttpParser {
 // "Too Many Requests", ...); "Unknown" otherwise.
 std::string_view HttpReasonPhrase(int status);
 
-// Renders a full response: status line, Content-Type, Content-Length,
-// Connection header (keep-alive/close), blank line, body.
-std::string BuildHttpResponse(int status, std::string_view content_type,
-                              std::string_view body, bool keep_alive);
+// Renders a response head for a body of `content_length` bytes: status
+// line, Content-Type, Content-Length, Connection (keep-alive/close),
+// blank line.
+std::string BuildHttpResponseHead(int status, std::string_view content_type,
+                                  size_t content_length, bool keep_alive);
 
 }  // namespace rox::server
 

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/escape.h"
 #include "obs/metrics.h"
 
 namespace rox::server {
@@ -53,12 +55,47 @@ constexpr std::string_view kTextType = "text/plain; charset=utf-8";
 
 std::string JsonError(std::string_view message) {
   std::string out = "{\"error\": \"";
-  obs::AppendJsonEscaped(&out, message);
+  AppendJsonEscaped(&out, message);
   out += "\"}\n";
   return out;
 }
 
+// Segments one sendmsg takes at most: two per response, so a burst of
+// pipelined answers still goes out in one call.
+constexpr size_t kMaxIovecs = 8;
+
 }  // namespace
+
+void HttpServer::Outbound::Push(std::string head, std::string body) {
+  segments.push_back(std::move(head));
+  if (!body.empty()) segments.push_back(std::move(body));
+}
+
+ssize_t HttpServer::Outbound::SendTo(int fd) {
+  iovec iov[kMaxIovecs];
+  size_t count = 0;
+  for (auto it = segments.begin();
+       it != segments.end() && count < kMaxIovecs; ++it, ++count) {
+    const size_t skip = count == 0 ? sent : 0;
+    iov[count].iov_base = it->data() + skip;
+    iov[count].iov_len = it->size() - skip;
+  }
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  const ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
+  for (size_t left = n > 0 ? static_cast<size_t>(n) : 0; left > 0;) {
+    const size_t rest = segments.front().size() - sent;
+    if (left < rest) {
+      sent += left;
+      break;
+    }
+    left -= rest;
+    segments.pop_front();
+    sent = 0;
+  }
+  return n;
+}
 
 int HttpServer::HttpStatusFor(const Status& status) {
   switch (status.code()) {
@@ -219,7 +256,7 @@ void HttpServer::Loop() {
     fds.push_back({listen_fd_, POLLIN, 0});
     for (auto& [id, conn] : conns_) {
       short events = POLLIN;  // always watch reads: disconnects too
-      if (!conn.outbuf.empty()) events |= POLLOUT;
+      if (!conn.out.empty()) events |= POLLOUT;
       fds.push_back({conn.fd, events, 0});
       ids.push_back(id);
     }
@@ -255,8 +292,7 @@ void HttpServer::Loop() {
         CloseConnection(id, conn.executing);
         continue;
       }
-      if (conn.close_after_write && conn.outbuf.empty() &&
-          !conn.executing) {
+      if (conn.close_after_write && conn.out.empty() && !conn.executing) {
         CloseConnection(id, false);
       }
     }
@@ -271,10 +307,12 @@ void HttpServer::AcceptNew() {
       // Over capacity: a one-shot 503 and an immediate close. The
       // socket is still blocking-fresh; a single send suffices for a
       // response this small.
-      std::string resp = BuildHttpResponse(
-          503, kJsonType, JsonError("server at connection capacity"),
-          /*keep_alive=*/false);
-      (void)send(fd, resp.data(), resp.size(), MSG_NOSIGNAL);
+      std::string body = JsonError("server at connection capacity");
+      std::string head = BuildHttpResponseHead(503, kJsonType, body.size(),
+                                               /*keep_alive=*/false);
+      Outbound refusal;
+      refusal.Push(std::move(head), std::move(body));
+      (void)refusal.SendTo(fd);
       close(fd);
       stats_.refused.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -311,13 +349,11 @@ bool HttpServer::ReadFrom(uint64_t id, Connection& conn) {
 
 bool HttpServer::FlushWrites(uint64_t id, Connection& conn) {
   (void)id;
-  while (!conn.outbuf.empty()) {
-    ssize_t n =
-        send(conn.fd, conn.outbuf.data(), conn.outbuf.size(), MSG_NOSIGNAL);
+  while (!conn.out.empty()) {
+    ssize_t n = conn.out.SendTo(conn.fd);
     if (n > 0) {
       stats_.bytes_written.fetch_add(static_cast<uint64_t>(n),
                                      std::memory_order_relaxed);
-      conn.outbuf.erase(0, static_cast<size_t>(n));
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
@@ -339,9 +375,11 @@ void HttpServer::RecordResponse(int status) {
 
 void HttpServer::QueueResponse(Connection& conn, int status,
                                std::string_view content_type,
-                               std::string_view body) {
+                               std::string body) {
   bool keep_alive = !conn.close_after_write;
-  conn.outbuf += BuildHttpResponse(status, content_type, body, keep_alive);
+  std::string head =
+      BuildHttpResponseHead(status, content_type, body.size(), keep_alive);
+  conn.out.Push(std::move(head), std::move(body));
   RecordResponse(status);
 }
 
@@ -428,12 +466,14 @@ void HttpServer::DispatchQuery(uint64_t id, Connection& conn,
     limits.deadline_ms = static_cast<double>(v);
   }
   if (const std::string* h = req.FindHeader("X-Memory-Budget-Mb")) {
-    if (!ParseUint(*h, &v)) {
+    // Beyond 2^44 - 1 MiB the byte count would wrap (2^44 to 0, which
+    // means unlimited).
+    if (!ParseUint(*h, &v) || v > (UINT64_MAX >> 20)) {
       QueueResponse(conn, 400, kJsonType,
                     JsonError("bad X-Memory-Budget-Mb"));
       return;
     }
-    limits.memory_budget_bytes = v * 1024 * 1024;
+    limits.memory_budget_bytes = v << 20;
   }
   if (const std::string* h = req.FindHeader("X-Max-Rows")) {
     if (!ParseUint(*h, &v)) {
@@ -494,15 +534,16 @@ void HttpServer::DispatchQuery(uint64_t id, Connection& conn,
       std::move(qreq), sequence,
       [shared, conn_id, keep_alive, jopts, latency,
        start_ms](engine::QueryResponse resp) {
-        // Engine-pool thread: render the response bytes off the event
-        // loop, then hand them over and wake it.
+        // Engine-pool thread: render the response off the event loop,
+        // then hand it over by move and wake the loop.
         int http = HttpStatusFor(resp.status);
-        std::string bytes = BuildHttpResponse(
-            http, kJsonType, resp.ToJson(jopts), keep_alive);
+        std::string body = resp.ToJson(jopts);
+        std::string head =
+            BuildHttpResponseHead(http, kJsonType, body.size(), keep_alive);
         if (latency != nullptr) latency->Observe(NowMs() - start_ms);
         std::lock_guard<std::mutex> lock(shared->mu);
         shared->completions.push_back(
-            Completion{conn_id, std::move(bytes), http});
+            Completion{conn_id, std::move(head), std::move(body), http});
         --shared->inflight;
         if (shared->wake_fd >= 0) {
           char b = 'c';
@@ -524,7 +565,7 @@ void HttpServer::DrainCompletions() {
     Connection& conn = it->second;
     conn.executing = false;
     conn.sequence = 0;
-    conn.outbuf += c.bytes;
+    conn.out.Push(std::move(c.head), std::move(c.body));
     RecordResponse(c.http_status);
     // A pipelined request may have been waiting on this completion.
     ProcessRequests(c.conn_id, conn);
@@ -532,7 +573,7 @@ void HttpServer::DrainCompletions() {
       CloseConnection(c.conn_id, conn.executing);
       continue;
     }
-    if (conn.close_after_write && conn.outbuf.empty() && !conn.executing) {
+    if (conn.close_after_write && conn.out.empty() && !conn.executing) {
       CloseConnection(c.conn_id, false);
     }
   }

@@ -8,9 +8,12 @@
 //     thread only, so it needs no locks.
 //   * Query execution happens on the *engine's* pool via
 //     Engine::ExecuteAsync(request, sequence, done). The done callback
-//     (a pool worker) renders the HTTP response bytes off the event
-//     loop, pushes them onto a mutex-protected completion queue, and
-//     wakes the loop through a self-pipe.
+//     (a pool worker) renders the response head and JSON body off the
+//     event loop, moves them onto a mutex-protected completion queue,
+//     and wakes the loop through a self-pipe.
+//   * Every response is queued on its connection as segments (head,
+//     body) that the loop sends in place with sendmsg: no response byte
+//     is copied after rendering.
 //   * The loop drains completions by connection id. A client that
 //     disconnected mid-query maps onto Engine::Kill(sequence) — the
 //     query unwinds cooperatively, frees its admission slot, and its
@@ -29,6 +32,8 @@
 #ifndef ROX_SERVER_SERVER_H_
 #define ROX_SERVER_SERVER_H_
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -37,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -108,10 +114,26 @@ class HttpServer {
   static int HttpStatusFor(const Status& status);
 
  private:
+  // Response bytes not yet accepted by the socket, as whole segments (a
+  // response head, a body) queued by move. SendTo writes the front ones
+  // in place with one sendmsg and pops what went out: nothing is
+  // concatenated or shifted. `sent` is how much of the front segment
+  // is already written.
+  struct Outbound {
+    std::deque<std::string> segments;
+    size_t sent = 0;
+
+    bool empty() const { return segments.empty(); }
+    // Queues one response: its head, then its body.
+    void Push(std::string head, std::string body);
+    // One sendmsg over the front segments; returns its result.
+    ssize_t SendTo(int fd);
+  };
+
   struct Connection {
     int fd = -1;
     HttpParser parser;
-    std::string outbuf;        // bytes not yet accepted by the socket
+    Outbound out;
     std::deque<HttpRequest> pending;  // parsed, waiting on in-flight
     bool executing = false;    // a /query is on the engine pool
     uint64_t sequence = 0;     // its kill handle
@@ -122,7 +144,8 @@ class HttpServer {
   // connection (which may be gone — then it is dropped).
   struct Completion {
     uint64_t conn_id = 0;
-    std::string bytes;
+    std::string head;
+    std::string body;
     int http_status = 0;
   };
 
@@ -147,7 +170,7 @@ class HttpServer {
   void HandleRequest(uint64_t id, Connection& conn, HttpRequest req);
   void DispatchQuery(uint64_t id, Connection& conn, const HttpRequest& req);
   void QueueResponse(Connection& conn, int status,
-                     std::string_view content_type, std::string_view body);
+                     std::string_view content_type, std::string body);
   void DrainCompletions();
   void CloseConnection(uint64_t id, bool killed_query);
   void RecordResponse(int status);

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/escape.h"
 #include "common/str_util.h"
 
 namespace rox {
@@ -364,84 +365,91 @@ class Parser {
   size_t expanded_bytes_ = 0;
 };
 
-void EscapeInto(std::string_view s, bool attr, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        *out += "&amp;";
-        break;
-      case '<':
-        *out += "&lt;";
-        break;
-      case '>':
-        *out += "&gt;";
-        break;
-      case '"':
-        if (attr) {
-          *out += "&quot;";
-        } else {
-          out->push_back(c);
-        }
-        break;
-      default:
-        out->push_back(c);
-    }
+// One replacement table per byte class a serialization writes: markup
+// (names, comment and PI bodies), text, and attribute values. XML output
+// escapes only text and attribute values. JSON-string output starts
+// every class from the JSON table; the XML entity replacements set over
+// it contain no byte JSON escapes, so each entry equals XML-escaping
+// then JSON-escaping that byte. Of the literal markup around names and
+// values ("<", "</", "=", "/>", ...) only the attribute value quote is a
+// byte an output escapes; it is escaped once, here.
+struct SerializeTables {
+  EscapeTable markup, text, attr;
+  std::string quote;
+
+  explicit SerializeTables(const EscapeTable& base) : markup(base) {
+    text = base;
+    text.Set('&', "&amp;");
+    text.Set('<', "&lt;");
+    text.Set('>', "&gt;");
+    attr = text;
+    attr.Set('"', "&quot;");
+    AppendEscaped(&quote, "\"", markup);
   }
+};
+
+const SerializeTables& TablesFor(XmlOutput output) {
+  static const SerializeTables xml{EscapeTable()};
+  static const SerializeTables json{JsonEscapeTable()};
+  return output == XmlOutput::kJsonString ? json : xml;
 }
 
-void SerializeNode(const Document& doc, Pre p, std::string* out) {
+void SerializeNode(const Document& doc, Pre p, const SerializeTables& t,
+                   std::string* out) {
+  auto markup = [&](std::string_view s) { AppendEscaped(out, s, t.markup); };
   switch (doc.Kind(p)) {
     case NodeKind::kDoc: {
       Pre end = p + doc.Size(p);
       for (Pre q = p + 1; q <= end; q += doc.Size(q) + 1) {
-        SerializeNode(doc, q, out);
+        SerializeNode(doc, q, t, out);
       }
       break;
     }
     case NodeKind::kElem: {
-      *out += '<';
-      *out += doc.NameStr(p);
+      out->push_back('<');
+      markup(doc.NameStr(p));
       // Attributes come first in the subtree.
       Pre end = p + doc.Size(p);
       Pre q = p + 1;
       for (; q <= end && doc.Kind(q) == NodeKind::kAttr; ++q) {
-        *out += ' ';
-        *out += doc.NameStr(q);
-        *out += "=\"";
-        EscapeInto(doc.ValueStr(q), /*attr=*/true, out);
-        *out += '"';
+        out->push_back(' ');
+        markup(doc.NameStr(q));
+        out->push_back('=');
+        out->append(t.quote);
+        AppendEscaped(out, doc.ValueStr(q), t.attr);
+        out->append(t.quote);
       }
       if (q > end) {
-        *out += "/>";
+        out->append("/>");
         break;
       }
-      *out += '>';
+      out->push_back('>');
       while (q <= end) {
-        SerializeNode(doc, q, out);
+        SerializeNode(doc, q, t, out);
         q += doc.Size(q) + 1;
       }
-      *out += "</";
-      *out += doc.NameStr(p);
-      *out += '>';
+      out->append("</");
+      markup(doc.NameStr(p));
+      out->push_back('>');
       break;
     }
     case NodeKind::kText:
-      EscapeInto(doc.ValueStr(p), /*attr=*/false, out);
+      AppendEscaped(out, doc.ValueStr(p), t.text);
       break;
     case NodeKind::kAttr:
       // Emitted by the owning element.
       break;
     case NodeKind::kComment:
-      *out += "<!--";
-      *out += doc.ValueStr(p);
-      *out += "-->";
+      out->append("<!--");
+      markup(doc.ValueStr(p));
+      out->append("-->");
       break;
     case NodeKind::kPi:
-      *out += "<?";
-      *out += doc.NameStr(p);
-      *out += ' ';
-      *out += doc.ValueStr(p);
-      *out += "?>";
+      out->append("<?");
+      markup(doc.NameStr(p));
+      out->push_back(' ');
+      markup(doc.ValueStr(p));
+      out->append("?>");
       break;
   }
 }
@@ -463,13 +471,18 @@ Result<std::unique_ptr<Document>> ParseXml(std::string_view xml,
   return std::move(builder).Finish();
 }
 
+void AppendSubtree(const Document& doc, Pre p, XmlOutput output,
+                   std::string* out) {
+  SerializeNode(doc, p, TablesFor(output), out);
+}
+
 std::string SerializeXml(const Document& doc) {
   return SerializeSubtree(doc, 0);
 }
 
 std::string SerializeSubtree(const Document& doc, Pre p) {
   std::string out;
-  SerializeNode(doc, p, &out);
+  AppendSubtree(doc, p, XmlOutput::kXml, &out);
   return out;
 }
 

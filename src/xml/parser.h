@@ -9,6 +9,7 @@
 #ifndef ROX_XML_PARSER_H_
 #define ROX_XML_PARSER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -49,12 +50,24 @@ Result<std::unique_ptr<Document>> ParseXml(
     std::shared_ptr<StringPool> pool = nullptr,
     const XmlParseOptions& options = {});
 
+// What a serialization is written as.
+enum class XmlOutput : uint8_t {
+  kXml,         // XML text
+  kJsonString,  // the XML text as the contents of a JSON string literal
+                // (no quotes): what JSON-escaping the kXml output gives,
+                // produced in the same single pass
+};
+
+// Appends the serialization of the subtree rooted at `p` to `*out`.
+void AppendSubtree(const Document& doc, Pre p, XmlOutput output,
+                   std::string* out);
+
 // Serializes `doc` back to XML text (no pretty-printing; entities are
 // re-escaped). Round-trips documents produced by ParseXml up to
 // whitespace-only text nodes and attribute order.
 std::string SerializeXml(const Document& doc);
 
-// Serializes the subtree rooted at `p`.
+// Serializes the subtree rooted at `p` as XML text.
 std::string SerializeSubtree(const Document& doc, Pre p);
 
 }  // namespace rox

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
+#include "common/escape.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str_util.h"
@@ -184,6 +187,52 @@ TEST(StrUtilTest, HumanCount) {
   EXPECT_EQ(HumanCount(950), "950");
   EXPECT_EQ(HumanCount(43500), "43.5K");
   EXPECT_EQ(HumanCount(1200000), "1.2M");
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
+  std::string out;
+  AppendJsonEscaped(&out, "a\"b\\c\nd");
+  EXPECT_EQ(out, "a\\\"b\\\\c\\nd");
+
+  // Every byte, one at a time, against the JSON string grammar: quote
+  // and backslash escaped, \n \r \t by name, other controls as
+  // lowercase \u00xx, everything else (UTF-8 bytes included) verbatim.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    std::string want;
+    if (c == '"' || c == '\\') {
+      want = {'\\', c};
+    } else if (c == '\n') {
+      want = "\\n";
+    } else if (c == '\r') {
+      want = "\\r";
+    } else if (c == '\t') {
+      want = "\\t";
+    } else if (b < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", b);
+      want = buf;
+    } else {
+      want = std::string(1, c);
+    }
+    std::string got;
+    AppendJsonEscaped(&got, std::string_view(&c, 1));
+    EXPECT_EQ(got, want) << "byte " << b;
+  }
+}
+
+TEST(JsonEscapeTest, CopiesCleanRunsAroundReplacements) {
+  std::string out = "prefix:";
+  AppendJsonEscaped(&out, "");
+  AppendJsonEscaped(&out, "\x01" "caf\xc3\xa9 \"x\"\t");
+  EXPECT_EQ(out, "prefix:\\u0001caf\xc3\xa9 \\\"x\\\"\\t");
+
+  // A table only replaces what it was told to.
+  EscapeTable t;
+  t.Set('&', "&amp;");
+  out.clear();
+  AppendEscaped(&out, "a&b&&", t);
+  EXPECT_EQ(out, "a&amp;b&amp;&amp;");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <string>
@@ -135,6 +136,21 @@ TEST(DeadlineTest, AfterMillisExpires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   EXPECT_TRUE(d.Expired());
   EXPECT_EQ(d.Remaining().count(), 0);
+}
+
+TEST(DeadlineTest, AfterMillisSaturates) {
+  // Past the clock's range (10^13 ms overflows int64 nanoseconds; 2^64
+  // ms does not fit int64 at all) a deadline never expires.
+  EXPECT_TRUE(Deadline::AfterMillis(1e13).IsInfinite());
+  EXPECT_TRUE(Deadline::AfterMillis(18446744073709551615.0).IsInfinite());
+  EXPECT_TRUE(Deadline::AfterMillis(std::nan("")).IsInfinite());
+  // Below 1 ms it has already lapsed, however negative.
+  EXPECT_TRUE(Deadline::AfterMillis(0.5).Expired());
+  EXPECT_TRUE(Deadline::AfterMillis(-1e30).Expired());
+  // A day is an ordinary deadline.
+  Deadline day = Deadline::AfterMillis(86400000);
+  EXPECT_FALSE(day.IsInfinite());
+  EXPECT_FALSE(day.Expired());
 }
 
 // --- AdmissionGate ---------------------------------------------------------------

@@ -109,6 +109,49 @@ TEST(HttpParserTest, BadContentLengthIs400) {
   EXPECT_EQ(p.error_status(), 400);
 }
 
+TEST(HttpParserTest, ContentLengthIsDigitsOnly) {
+  // strtoull would take a sign or leading space, and "-1" would wrap
+  // to a huge length (a 413): all are framing damage, so 400.
+  for (const char* value : {"+5", "-1", "5 x", "0x5", "5,5", ""}) {
+    HttpParser p;
+    const std::string bad =
+        std::string("POST /query HTTP/1.1\r\nContent-Length:") + value +
+        "\r\n\r\nhello";
+    p.Feed(bad.data(), bad.size());
+    ASSERT_TRUE(p.failed()) << value;
+    EXPECT_EQ(p.error_status(), 400) << value;
+  }
+  // Digits past 64 bits are a body too large, not a wrapped length.
+  HttpParser p;
+  const std::string huge =
+      "POST /query HTTP/1.1\r\nContent-Length: "
+      "99999999999999999999999\r\n\r\n";
+  p.Feed(huge.data(), huge.size());
+  ASSERT_TRUE(p.failed());
+  EXPECT_EQ(p.error_status(), 413);
+}
+
+TEST(HttpParserTest, ConflictingContentLengthsAre400) {
+  // The first value used to win and the rest of the body was parsed as
+  // the next pipelined request.
+  HttpParser p;
+  const std::string bad =
+      "POST /query HTTP/1.1\r\nContent-Length: 2\r\n"
+      "content-length: 11\r\n\r\n"
+      "q1GET / HTTP/1.1\r\n\r\n";
+  p.Feed(bad.data(), bad.size());
+  ASSERT_TRUE(p.failed());
+  EXPECT_EQ(p.error_status(), 400);
+  EXPECT_FALSE(p.HasRequest());
+
+  // Repeating the same value is harmless.
+  HttpParser same;
+  HttpRequest r = ParseAll(same,
+                           "POST /query HTTP/1.1\r\nContent-Length: 2\r\n"
+                           "Content-Length: 2\r\n\r\nq1");
+  EXPECT_EQ(r.body, "q1");
+}
+
 TEST(HttpParserTest, HeaderFoldingIs400) {
   HttpParser p;
   const std::string bad =
@@ -175,18 +218,20 @@ TEST(HttpParserTest, ErrorLatchesAgainstFurtherInput) {
 }
 
 TEST(HttpResponseTest, BuildsFramedResponse) {
-  std::string resp = BuildHttpResponse(200, "application/json",
-                                       "{\"x\": 1}", /*keep_alive=*/true);
-  EXPECT_NE(resp.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
-  EXPECT_NE(resp.find("Content-Length: 8\r\n"), std::string::npos);
-  EXPECT_NE(resp.find("Connection: keep-alive\r\n"), std::string::npos);
-  EXPECT_EQ(resp.substr(resp.size() - 8), "{\"x\": 1}");
+  EXPECT_EQ(BuildHttpResponseHead(200, "application/json", 8,
+                                  /*keep_alive=*/true),
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 8\r\n"
+            "Connection: keep-alive\r\n"
+            "\r\n");
 
-  std::string err =
-      BuildHttpResponse(429, "application/json", "{}", /*keep_alive=*/false);
+  std::string err = BuildHttpResponseHead(429, "application/json", 2,
+                                          /*keep_alive=*/false);
   EXPECT_NE(err.find("HTTP/1.1 429 Too Many Requests\r\n"),
             std::string::npos);
   EXPECT_NE(err.find("Connection: close\r\n"), std::string::npos);
+  EXPECT_EQ(err.substr(err.size() - 4), "\r\n\r\n");
 }
 
 }  // namespace

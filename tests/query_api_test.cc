@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -19,6 +20,7 @@
 
 #include "engine/engine.h"
 #include "index/corpus.h"
+#include "xml/parser.h"
 
 namespace rox {
 namespace {
@@ -103,6 +105,95 @@ TEST(QueryApiTest, JsonRowTruncationIsExplicit) {
       engine::SerializeResultRows(resp.result);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[1], "<title>Plain</title>");
+}
+
+// Test-local oracles for the row escaping, one character at a time and
+// sharing no code with the serializer: XML-escape a text or attribute
+// value, and JSON-escape a string's contents.
+std::string OracleXmlEscape(std::string_view s, bool attr) {
+  std::string out;
+  for (char c : s) {
+    if (c == '&') {
+      out += "&amp;";
+    } else if (c == '<') {
+      out += "&lt;";
+    } else if (c == '>') {
+      out += "&gt;";
+    } else if (c == '"' && attr) {
+      out += "&quot;";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string OracleJsonEscape(std::string_view s) {
+  std::string out;
+  for (char c : s) {
+    const unsigned char b = static_cast<unsigned char>(c);
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (b < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", b);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(QueryApiTest, RowEscapingMatchesCharByCharOracle) {
+  // Every byte class the two escapes treat specially, in a text node and
+  // in an attribute value: quote, backslash, \n \r \t and the other
+  // controls 0x01-0x1f (as character references), the XML specials, and
+  // 2/3/4-byte UTF-8.
+  std::string raw = "q\"b\\";
+  std::string source = "q&quot;b\\";
+  for (int b = 1; b < 0x20; ++b) {
+    raw += static_cast<char>(b);
+    source += "&#" + std::to_string(b) + ";";
+  }
+  raw += "&<>\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80 end";
+  source += "&amp;&lt;&gt;\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80 end";
+
+  const std::string xml =
+      "<root><r a=\"" + source + "\">" + source + "<e/></r></root>";
+  Corpus corpus;
+  ASSERT_TRUE(corpus.AddXml(xml, "esc.xml").ok());
+  engine::Engine eng(std::move(corpus), {});
+  engine::QueryRequest req;
+  req.text = R"(for $r in doc("esc.xml")//r return $r)";
+  engine::QueryResponse resp = eng.Execute(req);
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  ASSERT_EQ(resp.result.items->size(), 1u);
+  const Document& doc = resp.result.snapshot->doc(resp.result.result_doc);
+  const Pre r = (*resp.result.items)[0];
+  // The parser stored the bytes under test, not something tamer.
+  ASSERT_EQ(doc.ValueStr(r + 1), raw);  // the attribute
+  ASSERT_EQ(doc.ValueStr(r + 2), raw);  // the text node
+
+  const std::string want_xml = "<r a=\"" + OracleXmlEscape(raw, true) +
+                               "\">" + OracleXmlEscape(raw, false) +
+                               "<e/></r>";
+  const std::string want_json = OracleJsonEscape(want_xml);
+
+  EXPECT_EQ(SerializeSubtree(doc, r), want_xml);
+  std::string appended = "x";
+  AppendSubtree(doc, r, XmlOutput::kJsonString, &appended);
+  EXPECT_EQ(appended, "x" + want_json);
+  const std::string want_rows = "\"rows\": [\n    \"" + want_json + "\"\n  ]";
+  EXPECT_NE(resp.ToJson().find(want_rows), std::string::npos);
 }
 
 TEST(QueryApiTest, ParseQueryModeRoundtrips) {

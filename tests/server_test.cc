@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -73,6 +74,15 @@ class ServerTest : public ::testing::Test {
   }
   static std::string FastQuery() {
     return R"(for $p in doc("xmark.xml")//person return $p)";
+  }
+  static std::string TwoRowQuery() {
+    return R"(for $p in doc("xmark.xml")//person)"
+           R"([./@id = "person0" or ./@id = "person1"] return $p)";
+  }
+  // ~57K rows, ~6.2 MB of response JSON: items of quantity 3 per bidder
+  // whose increase is not 3.
+  static std::string LargeQuery() {
+    return XmarkQuantityIncreaseQuery(CmpOp::kNe, 3);
   }
 
   // Starts a server on an ephemeral port over a fresh engine.
@@ -179,14 +189,20 @@ TEST_F(ServerTest, HeadersMapOntoQueryLimitsAndModes) {
   EXPECT_NE(tagged->body.find("\"client_tag\": \"test-42\""),
             std::string::npos);
 
-  // Junk header values are rejected before anything executes.
-  for (const char* name :
-       {"X-Deadline-Ms", "X-Memory-Budget-Mb", "X-Max-Rows",
-        "X-Query-Mode", "X-Trace-Level"}) {
-    auto bad = client.Request("POST", "/query", {{name, "banana"}},
-                              FastQuery());
-    ASSERT_TRUE(bad.ok()) << name;
-    EXPECT_EQ(bad->status, 400) << name;
+  // Junk header values are rejected before anything executes. 2^44 MiB
+  // is 2^64 bytes: it used to wrap to a budget of 0, i.e. unlimited.
+  const std::vector<std::pair<std::string, std::string>> junk = {
+      {"X-Deadline-Ms", "banana"},
+      {"X-Memory-Budget-Mb", "banana"},
+      {"X-Max-Rows", "banana"},
+      {"X-Query-Mode", "banana"},
+      {"X-Trace-Level", "banana"},
+      {"X-Memory-Budget-Mb", "17592186044416"},
+  };
+  for (const auto& header : junk) {
+    auto bad = client.Request("POST", "/query", {header}, FastQuery());
+    ASSERT_TRUE(bad.ok()) << header.first << ": " << header.second;
+    EXPECT_EQ(bad->status, 400) << header.first << ": " << header.second;
   }
 
   // A query-text parse error maps to 400 with the stable JSON shape.
@@ -194,6 +210,22 @@ TEST_F(ServerTest, HeadersMapOntoQueryLimitsAndModes) {
   ASSERT_TRUE(parse_err.ok());
   EXPECT_EQ(parse_err->status, 400);
   EXPECT_NE(parse_err->body.find("\"status\""), std::string::npos);
+}
+
+TEST_F(ServerTest, UnrepresentableDeadlinesNeverExpire) {
+  engine::EngineOptions eopts;
+  eopts.enable_cache = false;  // both requests really execute
+  auto stack = StartStack(eopts);
+  server::HttpClient client = Connect(*stack);
+  // 10^13 ms overflows the clock's nanoseconds and 2^64 - 1 ms does not
+  // fit int64 at all; both used to time out at once (504).
+  for (const char* ms : {"10000000000000", "18446744073709551615"}) {
+    auto resp = client.Request("POST", "/query", {{"X-Deadline-Ms", ms}},
+                               TwoRowQuery());
+    ASSERT_TRUE(resp.ok()) << ms;
+    EXPECT_EQ(resp->status, 200) << ms;
+    EXPECT_EQ(JsonUint(resp->body, "row_count"), 2) << ms;
+  }
 }
 
 TEST_F(ServerTest, ProtocolEdgeCases) {
@@ -393,6 +425,122 @@ TEST_F(ServerTest, ConcurrentSessionsAgainstLivePublishes) {
   EXPECT_EQ(s.responses_5xx, 0u);
   EXPECT_EQ(s.requests_total,
             static_cast<uint64_t>(kClients * kQueriesPerClient));
+  EXPECT_TRUE(WaitFor([&] {
+    return stack->server.Snapshot().open_connections == 0;
+  }));
+}
+
+// Reads one Content-Length-framed response off `fd`, `chunk` bytes per
+// read; `buf` carries bytes read past the previous response. False on
+// EOF or a malformed head.
+bool ReadRawResponse(int fd, size_t chunk, std::string* buf, int* status,
+                     std::string* body) {
+  auto read_more = [&] {
+    std::string tmp(chunk, '\0');
+    ssize_t n = read(fd, tmp.data(), chunk);
+    if (n <= 0) return false;
+    buf->append(tmp.data(), static_cast<size_t>(n));
+    return true;
+  };
+  size_t head_end;
+  while ((head_end = buf->find("\r\n\r\n")) == std::string::npos) {
+    if (!read_more()) return false;
+  }
+  const std::string head = buf->substr(0, head_end);
+  const size_t length_at = head.find("Content-Length: ");
+  if (head.rfind("HTTP/1.1 ", 0) != 0 || length_at == std::string::npos) {
+    return false;
+  }
+  *status = std::atoi(head.c_str() + 9);
+  const size_t length =
+      std::strtoull(head.c_str() + length_at + 16, nullptr, 10);
+  buf->erase(0, head_end + 4);
+  while (buf->size() < length) {
+    if (!read_more()) return false;
+  }
+  *body = buf->substr(0, length);
+  buf->erase(0, length);
+  return true;
+}
+
+// From "row_count" up to "stats": the rows and everything about them,
+// without the sequence, cache flags and timings that differ per run.
+std::string RowsSection(const std::string& json) {
+  const size_t begin = json.find("\"row_count\"");
+  const size_t end = json.find(",\n  \"stats\"");
+  if (begin == std::string::npos || end == std::string::npos) return "";
+  return json.substr(begin, end - begin);
+}
+
+TEST_F(ServerTest, LargeResponsesSurvivePartialWritesAndPipelining) {
+  // An uncapped multi-MB body to a client with a tiny receive window,
+  // read a little at a time. The body is well past the 4 MiB a socket's
+  // send buffer grows to by default (tcp_wmem), so the server's sendmsg
+  // runs out of buffer again and again in the middle of a segment, while
+  // a pipelined second response queues behind the first.
+  server::ServerOptions sopts;
+  sopts.max_response_rows = 0;
+  auto stack = StartStack({}, sopts);
+  const std::vector<std::string> queries = {LargeQuery(), FastQuery()};
+
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  int rcvbuf = 4096;
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  // Misframed bytes would leave a read waiting forever: fail instead.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ASSERT_EQ(
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(stack->server.port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  std::string requests;
+  for (const std::string& q : queries) {
+    requests += "POST /query HTTP/1.1\r\nContent-Length: " +
+                std::to_string(q.size()) + "\r\n\r\n" + q;
+  }
+  for (size_t sent = 0; sent < requests.size();) {  // one write, if it fits
+    ssize_t n = send(fd, requests.data() + sent, requests.size() - sent,
+                     MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+
+  std::string buf;
+  std::vector<std::string> bodies;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(ReadRawResponse(fd, 1024, &buf, &status, &body)) << i;
+    EXPECT_EQ(status, 200) << i;
+    bodies.push_back(std::move(body));
+  }
+  EXPECT_TRUE(buf.empty());  // nothing after the second response
+  close(fd);
+  EXPECT_GT(bodies[0].size(), size_t{5} << 20);
+
+  // Byte-identical rows to an in-process render at the same (no) cap.
+  engine::Engine reference(corpus(), {});
+  engine::ResponseJsonOptions jopts;
+  jopts.max_rows = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    engine::QueryRequest req;
+    req.text = queries[i];
+    engine::QueryResponse want = reference.Execute(req);
+    ASSERT_TRUE(want.ok()) << want.status.ToString();
+    const std::string want_rows = RowsSection(want.ToJson(jopts));
+    ASSERT_FALSE(want_rows.empty());
+    EXPECT_TRUE(RowsSection(bodies[i]) == want_rows) << "response " << i;
+  }
+  EXPECT_GT(JsonUint(bodies[0], "row_count"), 1000);
+  EXPECT_EQ(bodies[0].find("rows_truncated"), std::string::npos);
+
   EXPECT_TRUE(WaitFor([&] {
     return stack->server.Snapshot().open_connections == 0;
   }));

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/escape.h"
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "index/corpus.h"
@@ -70,7 +71,7 @@ void DumpTrace(const engine::QueryResult& r, const std::string& context) {
   std::ofstream out(path != nullptr ? path : "snapshot_fuzz_trace.json",
                     std::ios::app);
   std::string ctx;
-  obs::AppendJsonEscaped(&ctx, context);  // query text contains quotes
+  AppendJsonEscaped(&ctx, context);  // query text contains quotes
   out << "{\"context\": \"" << ctx << "\", \"trace\": " << r.trace_json()
       << "}\n";
 }

@@ -151,12 +151,6 @@ TEST(ScopedSpanTest, NullAndOffTracesAreInert) {
   EXPECT_GE(on.spans()[0].duration_ns, 0);
 }
 
-TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
-  std::string out;
-  AppendJsonEscaped(&out, "a\"b\\c\nd");
-  EXPECT_EQ(out, "a\\\"b\\\\c\\nd");
-}
-
 }  // namespace
 }  // namespace rox::obs
 
