@@ -124,6 +124,11 @@ struct AblationCase {
   RoxOptions options;
 };
 
+// GetParam() is part of the discovered ctest name. Without a printer gtest
+// dumps the object's bytes, which include the address-randomized `name`
+// pointer and padding, so the test name changed from build to build.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
+
 class RoxAblationTest : public ::testing::TestWithParam<AblationCase> {};
 
 TEST_P(RoxAblationTest, ResultInvariantUnderAblations) {
