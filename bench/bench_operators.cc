@@ -52,29 +52,20 @@ void BM_StaircaseChild(benchmark::State& state) {
 }
 BENCHMARK(BM_StaircaseChild)->Arg(1000)->Arg(4000)->Arg(16000);
 
-// The probe kernels run both paths of DESIGN.md §14 — the vectorized
-// batch default and the row-at-a-time fallback — so the per-kernel
-// items/sec (context rows/sec) speedup is tracked directly.
-void StaircaseDescendantIndexed(benchmark::State& state, bool vectorized) {
+// The batched kernels of DESIGN.md §14 report items/sec (context
+// rows/sec), so a per-kernel speedup or regression is tracked directly.
+void BM_StaircaseDescendantIndexed(benchmark::State& state) {
   const Corpus& c = XmarkCorpus(static_cast<int>(state.range(0)));
   std::vector<Pre> ctx = Elems(c, "open_auction");
   StepSpec spec = StepSpec::Descendant(c.string_pool().Find("personref"));
   const ElementIndex& idx = c.element_index(0);
   for (auto _ : state) {
-    auto r = StructuralJoinPairs(c.doc(0), ctx, spec, kNoLimit, &idx,
-                                 nullptr, vectorized);
+    auto r = StructuralJoinPairs(c.doc(0), ctx, spec, kNoLimit, &idx);
     benchmark::DoNotOptimize(r.size());
   }
   state.SetItemsProcessed(state.iterations() * ctx.size());
 }
-void BM_StaircaseDescendantIndexed(benchmark::State& state) {
-  StaircaseDescendantIndexed(state, /*vectorized=*/true);
-}
 BENCHMARK(BM_StaircaseDescendantIndexed)->Arg(1000)->Arg(4000)->Arg(16000);
-void BM_StaircaseDescendantIndexedFallback(benchmark::State& state) {
-  StaircaseDescendantIndexed(state, /*vectorized=*/false);
-}
-BENCHMARK(BM_StaircaseDescendantIndexedFallback)->Arg(4000);
 
 void BM_StaircaseDescendantScan(benchmark::State& state) {
   const Corpus& c = XmarkCorpus(static_cast<int>(state.range(0)));
@@ -103,7 +94,7 @@ void BM_StaircaseAncestor(benchmark::State& state) {
 }
 BENCHMARK(BM_StaircaseAncestor)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void ValueIndexNlJoin(benchmark::State& state, bool vectorized) {
+void BM_ValueIndexNlJoin(benchmark::State& state) {
   const Corpus& c = XmarkCorpus(static_cast<int>(state.range(0)));
   // @person attributes probed against @id via the value index.
   auto probe_span =
@@ -112,21 +103,14 @@ void ValueIndexNlJoin(benchmark::State& state, bool vectorized) {
   ValueProbeSpec spec = ValueProbeSpec::Attr(c.string_pool().Find("id"));
   for (auto _ : state) {
     auto r = ValueIndexJoinPairs(c.doc(0), probe, c.doc(0), c.value_index(0),
-                                 spec, kNoLimit, nullptr, vectorized);
+                                 spec);
     benchmark::DoNotOptimize(r.size());
   }
   state.SetItemsProcessed(state.iterations() * probe.size());
 }
-void BM_ValueIndexNlJoin(benchmark::State& state) {
-  ValueIndexNlJoin(state, /*vectorized=*/true);
-}
 BENCHMARK(BM_ValueIndexNlJoin)->Arg(1000)->Arg(4000)->Arg(16000);
-void BM_ValueIndexNlJoinFallback(benchmark::State& state) {
-  ValueIndexNlJoin(state, /*vectorized=*/false);
-}
-BENCHMARK(BM_ValueIndexNlJoinFallback)->Arg(4000);
 
-void HashValueJoin(benchmark::State& state, bool vectorized) {
+void BM_HashValueJoin(benchmark::State& state) {
   const Corpus& c = XmarkCorpus(static_cast<int>(state.range(0)));
   auto probe_span =
       c.element_index(0).LookupAttr(c.string_pool().Find("person"));
@@ -134,22 +118,14 @@ void HashValueJoin(benchmark::State& state, bool vectorized) {
   auto id_span = c.element_index(0).LookupAttr(c.string_pool().Find("id"));
   std::vector<Pre> inner(id_span.begin(), id_span.end());
   for (auto _ : state) {
-    auto r = HashValueJoinPairs(c.doc(0), probe, c.doc(0), inner, nullptr,
-                                vectorized);
+    auto r = HashValueJoinPairs(c.doc(0), probe, c.doc(0), inner);
     benchmark::DoNotOptimize(r.size());
   }
   state.SetItemsProcessed(state.iterations() * probe.size());
 }
-void BM_HashValueJoin(benchmark::State& state) {
-  HashValueJoin(state, /*vectorized=*/true);
-}
 BENCHMARK(BM_HashValueJoin)->Arg(1000)->Arg(4000)->Arg(16000);
-void BM_HashValueJoinFallback(benchmark::State& state) {
-  HashValueJoin(state, /*vectorized=*/false);
-}
-BENCHMARK(BM_HashValueJoinFallback)->Arg(4000);
 
-void MergeValueJoin(benchmark::State& state, bool vectorized) {
+void BM_MergeValueJoin(benchmark::State& state) {
   const Corpus& c = XmarkCorpus(static_cast<int>(state.range(0)));
   auto probe_span =
       c.element_index(0).LookupAttr(c.string_pool().Find("person"));
@@ -159,43 +135,27 @@ void MergeValueJoin(benchmark::State& state, bool vectorized) {
   auto ps = SortByValueId(c.doc(0), probe);
   auto is = SortByValueId(c.doc(0), inner);
   for (auto _ : state) {
-    auto r = MergeValueJoinPairs(c.doc(0), ps, c.doc(0), is, nullptr,
-                                 vectorized);
+    auto r = MergeValueJoinPairs(c.doc(0), ps, c.doc(0), is);
     benchmark::DoNotOptimize(r.size());
   }
   state.SetItemsProcessed(state.iterations() * probe.size());
 }
-void BM_MergeValueJoin(benchmark::State& state) {
-  MergeValueJoin(state, /*vectorized=*/true);
-}
 BENCHMARK(BM_MergeValueJoin)->Arg(1000)->Arg(4000)->Arg(16000);
-void BM_MergeValueJoinFallback(benchmark::State& state) {
-  MergeValueJoin(state, /*vectorized=*/false);
-}
-BENCHMARK(BM_MergeValueJoinFallback)->Arg(4000);
 
 // Range theta join: numeric <increase> probes against the sorted
 // <quantity> run (values are small integers, so the match set per row
 // is a large contiguous suffix — the bulk-append case).
-void SortThetaJoin(benchmark::State& state, bool vectorized) {
+void BM_SortThetaJoin(benchmark::State& state) {
   const Corpus& c = XmarkCorpus(static_cast<int>(state.range(0)));
   std::vector<Pre> probe = Elems(c, "increase");
   std::vector<Pre> inner = Elems(c, "quantity");
   for (auto _ : state) {
-    auto r = SortThetaJoinPairs(c.doc(0), probe, c.doc(0), inner, CmpOp::kGe,
-                                kNoLimit, nullptr, vectorized);
+    auto r = SortThetaJoinPairs(c.doc(0), probe, c.doc(0), inner, CmpOp::kGe);
     benchmark::DoNotOptimize(r.size());
   }
   state.SetItemsProcessed(state.iterations() * probe.size());
 }
-void BM_SortThetaJoin(benchmark::State& state) {
-  SortThetaJoin(state, /*vectorized=*/true);
-}
 BENCHMARK(BM_SortThetaJoin)->Arg(1000);
-void BM_SortThetaJoinFallback(benchmark::State& state) {
-  SortThetaJoin(state, /*vectorized=*/false);
-}
-BENCHMARK(BM_SortThetaJoinFallback)->Arg(1000);
 
 // Zero-investment check: a τ-limited sampled probe must cost the same
 // on a 1k-auction and a 16k-auction document (its cost depends on the

@@ -6,13 +6,10 @@
 // perf-trend job compares the JSON against the previous run's).
 //
 //   $ ./bench_theta_joins [--xmark_scale=0.15] [--dblp_tag_scale=0.1]
-//        [--repeat=5] [--tau=100] [--seed=42] [--smoke] [--vectorized=1]
+//        [--repeat=5] [--tau=100] [--seed=42] [--smoke]
 //        [--json=BENCH_theta_joins.json] [--max_regression=0]
 //
 // --smoke shrinks the corpus and repeat count for CI.
-// --vectorized=0 runs the row-at-a-time kernel fallback
-//   (RoxOptions::vectorized_kernels, DESIGN.md §14) for A/B rate
-//   comparisons against the default batched kernels.
 // --max_regression=R fails the run if, on any query, the lazy total
 //   wall time exceeds R x the eager total wall time.
 
@@ -105,7 +102,6 @@ int Main(int argc, char** argv) {
   const uint64_t tau = static_cast<uint64_t>(flags.GetInt("tau", 100));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const double max_regression = flags.GetDouble("max_regression", 0.0);
-  const bool vectorized = flags.GetBool("vectorized", true);
   const std::string json_path =
       flags.GetString("json", "BENCH_theta_joins.json");
   flags.FailOnUnused();
@@ -128,15 +124,12 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "XMark scale %.2f (%u nodes) + DBLP tag scale %.2f; %d repeats; "
-      "%s kernels\n\n",
-      xmark_scale, corpus.doc(*xdoc).NodeCount(), dblp_tag_scale, repeat,
-      vectorized ? "vectorized" : "fallback");
+      "XMark scale %.2f (%u nodes) + DBLP tag scale %.2f; %d repeats\n\n",
+      xmark_scale, corpus.doc(*xdoc).NodeCount(), dblp_tag_scale, repeat);
 
   RoxOptions rox;
   rox.tau = tau;
   rox.seed = seed;
-  rox.vectorized_kernels = vectorized;
 
   struct Row {
     std::string name;
@@ -192,12 +185,10 @@ int Main(int argc, char** argv) {
                  "{\n  \"bench\": \"theta_joins\",\n"
                  "  \"xmark_scale\": %.3f,\n  \"dblp_tag_scale\": %.3f,\n"
                  "  \"repeat\": %d,\n  \"tau\": %llu,\n  \"seed\": %llu,\n"
-                 "  \"vectorized\": %s,\n"
                  "  \"queries\": [\n",
                  xmark_scale, dblp_tag_scale, repeat,
                  static_cast<unsigned long long>(tau),
-                 static_cast<unsigned long long>(seed),
-                 vectorized ? "true" : "false");
+                 static_cast<unsigned long long>(seed));
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,

@@ -75,7 +75,7 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
   // directly — no gather into the arena — and an eager table column is
   // a plain contiguous span (DESIGN.md §14).
   auto probe_col = [&](const Partition& p) -> PreColumn {
-    if (!lazy_) return PreColumn::FromSpan(p.table.Col(p.join_value_col));
+    if (!lazy_) return p.table.Col(p.join_value_col);
     const ResultView::Column& c = p.view.col(p.join_value_col);
     return {c.base, c.sel, p.view.NumRows()};
   };
@@ -88,7 +88,7 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     std::vector<Pre> authors(authors_span.begin(), authors_span.end());
     JoinPairs pairs = ShardedStructuralJoinPairs(
         sharded_, d, doc, authors, StepSpec::ChildText(), nullptr, nullptr,
-        cancel_, vectorized_);
+        cancel_);
     Partition part;
     if (lazy_) {
       // The pair arrays are the view: authors as the base of a
@@ -146,8 +146,7 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     const Document& part_doc = corpus_.doc(docs_[part.docs[0]]);
     JoinPairs pairs = ShardedValueIndexJoinPairs(
         sharded_, part_doc, probe_col(part), corpus_.doc(d),
-        corpus_.value_index(d), ValueProbeSpec::Text(), nullptr, cancel_,
-        vectorized_);
+        corpus_.value_index(d), ValueProbeSpec::Text(), nullptr, cancel_);
     Partition out;
     if (lazy_) {
       out.view = ExtendViewWithPairs(part.view, std::move(pairs), arena);
@@ -172,7 +171,7 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
                                  : y.table.DistinctColumn(y.join_value_col);
     JoinPairs pairs =
         ShardedHashValueJoinPairs(sharded_, xd, probe_col(x), yd, inner,
-                                  nullptr, cancel_, vectorized_);
+                                  nullptr, cancel_);
     Partition out;
     size_t x_cols = cols_of(x);
     if (lazy_) {

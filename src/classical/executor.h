@@ -73,12 +73,6 @@ class CanonicalPlanExecutor {
   // Status (DESIGN.md §13). Same lifetime contract as set_trace.
   void set_cancel(const CancellationToken* cancel) { cancel_ = cancel; }
 
-  // Kernel path for subsequent Run() calls: the vectorized batch
-  // kernels (the default) or the row-at-a-time fallback. Results are
-  // byte-identical (DESIGN.md §14); mirrors
-  // RoxOptions::vectorized_kernels.
-  void set_vectorized(bool vectorized) { vectorized_ = vectorized; }
-
  private:
   const Corpus& corpus_;
   std::vector<DocId> docs_;
@@ -87,7 +81,6 @@ class CanonicalPlanExecutor {
   bool lazy_;
   obs::QueryTrace* trace_ = nullptr;
   const CancellationToken* cancel_ = nullptr;
-  bool vectorized_ = true;
 };
 
 // Cumulative join cardinality of a join order computed purely from the

@@ -16,6 +16,27 @@ double ParseNumeric(std::string_view s) {
   return v;
 }
 
+bool ParseDecimalU64(std::string_view s, uint64_t* out, bool* overflow) {
+  if (overflow != nullptr) *overflow = false;
+  if (s.empty()) return false;
+  uint64_t v = 0;
+  bool too_big = false;
+  // Keep scanning past an overflow: trailing junk still makes the text
+  // malformed rather than merely too large.
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    uint64_t d = static_cast<uint64_t>(c - '0');
+    too_big = too_big || v > (UINT64_MAX - d) / 10;
+    if (!too_big) v = v * 10 + d;
+  }
+  if (too_big) {
+    if (overflow != nullptr) *overflow = true;
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 std::string StrJoin(const std::vector<std::string>& parts,
                     std::string_view sep) {
   std::string out;

@@ -4,6 +4,7 @@
 #ifndef ROX_COMMON_STR_UTIL_H_
 #define ROX_COMMON_STR_UTIL_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -36,6 +37,16 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // compiler, so "what counts as a number" cannot diverge between index
 // build and predicate compilation.
 double ParseNumeric(std::string_view s);
+
+// Parses a decimal unsigned integer: one or more ASCII digits and
+// nothing else (no sign, whitespace or radix prefix). Returns false on
+// any other text and on a value above UINT64_MAX. When `overflow` is
+// non-null it is set to whether the text was all digits but too large,
+// so a caller can tell an oversized number from junk. The one parser
+// behind every numeric HTTP header (server/http.cc, server/server.cc,
+// server/client.cc).
+bool ParseDecimalU64(std::string_view s, uint64_t* out,
+                     bool* overflow = nullptr);
 
 // Formats a byte count with binary units ("1.1 MB" style, as Table 3).
 std::string HumanBytes(uint64_t bytes);

@@ -1,18 +1,19 @@
-// Shared machinery of the vectorized (batched) kernel paths
-// (DESIGN.md §14).
+// Shared machinery of the batched join kernels (DESIGN.md §14).
 //
-// The vectorized joins emit whole match spans per outer row — index
-// runs, hash-table payload groups, range-join prefixes/suffixes —
-// instead of sinking one pair at a time. BatchEmitter centralizes the
-// two protocols every emission must honor regardless of granularity:
-// the limit+1 sentinel cut-off (§2.3) and the amortized output-growth
-// cancellation poll (DESIGN.md §13). Both are enforced so that, for
-// any limit and an un-tripped token, a batched kernel's output is
-// byte-identical to its row-at-a-time fallback.
+// The kernels emit whole match spans per outer row — index runs,
+// hash-table payload groups, range-join prefixes/suffixes — instead of
+// sinking one pair at a time. BatchEmitter centralizes the two
+// protocols every emission must honor regardless of granularity: the
+// limit+1 sentinel cut-off (§2.3) and the amortized output-growth
+// cancellation poll (DESIGN.md §13). With them, for any limit and an
+// un-tripped token, a kernel's pairs, `truncated` and `outer_consumed`
+// are exactly what a brute-force nested loop emitting the same per-row
+// order would produce (tests/kernel_invariant_test.cc).
 
 #ifndef ROX_EXEC_KERNEL_BATCH_H_
 #define ROX_EXEC_KERNEL_BATCH_H_
 
+#include <concepts>
 #include <cstddef>
 #include <iterator>
 #include <span>
@@ -24,9 +25,9 @@
 
 namespace rox {
 
-// Batch width of the vectorized kernel paths: small enough that the
-// per-batch value arrays (ids + doubles + row bookkeeping) stay in L1,
-// large enough to amortize the per-batch governance poll.
+// Batch width of the join kernels: small enough that the per-batch
+// value arrays (ids + run boundaries) stay in L1, large enough to
+// amortize the per-batch governance poll.
 inline constexpr size_t kKernelBatchRows = 1024;
 
 // Below this many entries Append's bulk vector::insert (libstdc++
@@ -41,11 +42,21 @@ inline constexpr size_t kBulkAppendMinRows = 16;
 // base[i] when `sel` is null (a plain contiguous span). Lets a lazy
 // ResultView column feed a probe kernel directly, without gathering
 // into a temporary first (DESIGN.md §14); both referenced arrays are
-// borrowed and must outlive the call.
+// borrowed and must outlive the call. Any contiguous Pre range (a
+// span or a vector) converts implicitly, so one PreColumn entry point
+// per kernel serves both kinds of input.
 struct PreColumn {
   const Pre* base = nullptr;
   const uint32_t* sel = nullptr;
   size_t n = 0;
+
+  PreColumn() = default;
+  PreColumn(const Pre* rows, const uint32_t* selection, size_t count)
+      : base(rows), sel(selection), n(count) {}
+  template <typename Range>
+    requires std::convertible_to<const Range&, std::span<const Pre>>
+  PreColumn(const Range& rows)  // NOLINT: implicit by design
+      : base(std::data(rows)), n(std::size(rows)) {}
 
   size_t size() const { return n; }
   bool empty() const { return n == 0; }
@@ -59,13 +70,9 @@ struct PreColumn {
     return sel != nullptr ? PreColumn{base, sel + off, len}
                           : PreColumn{base + off, nullptr, len};
   }
-
-  static PreColumn FromSpan(std::span<const Pre> s) {
-    return {s.data(), nullptr, s.size()};
-  }
 };
 
-// Emission state of one vectorized kernel run over a reused JoinPairs.
+// Emission state of one kernel run over a reused JoinPairs.
 class BatchEmitter {
  public:
   enum class Stop {
@@ -138,7 +145,7 @@ class BatchEmitter {
 
   // Amortized governance poll on output growth: once per
   // kCancelCheckRows produced pairs, crossing-based so bulk appends of
-  // any size poll at the same cadence as the row-at-a-time sinks. The
+  // any size poll at the same cadence as single-pair pushes. The
   // first poll waits a full interval (DESIGN.md §13).
   Stop PollIfDue() {
     if (out_.right_nodes.size() < next_poll_) return Stop::kNone;

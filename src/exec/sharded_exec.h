@@ -102,44 +102,30 @@ struct ShardedJoinParts {
 // lane outputs are merged as usual; callers re-check the token before
 // consuming the merge (DESIGN.md §13).
 //
-// The trailing `vectorized` flag selects each lane's kernel path
-// (value_join.h): the batched default or the row-at-a-time fallback,
-// byte-identical either way. PreColumn overloads exist for the probe-
-// side fan-outs so a lazy ResultView column feeds the lanes without an
-// intermediate gather (each lane probes a positional Sub slice).
+// The probe-side fan-outs take a PreColumn, so a lazy ResultView column
+// feeds the lanes without an intermediate gather (each lane probes a
+// positional Sub slice); a span or vector converts implicitly.
 ShardedJoinParts ShardedStructuralJoinParts(
     const ShardedExec* ex, DocId ctx_doc, const Document& target_doc,
     std::span<const Pre> context, const StepSpec& step,
     const ElementIndex* index, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
+    const CancellationToken* cancel = nullptr);
 
 // Hash equi-join with a single shared build side and per-chunk
 // parallel probes (the probe side need not be sorted).
 ShardedJoinParts ShardedHashValueJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
-ShardedJoinParts ShardedHashValueJoinParts(
-    const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
+    const CancellationToken* cancel = nullptr);
 
 // Index nested-loop equi-join with per-chunk parallel probes into the
 // (full) inner value index.
 ShardedJoinParts ShardedValueIndexJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr,
-    bool vectorized = true);
-ShardedJoinParts ShardedValueIndexJoinParts(
-    const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr,
-    bool vectorized = true);
+    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr);
 
 // Theta join (`op` != kEq) with per-chunk parallel probes into the
 // inner index's pre-sorted runs (see value_join.h). Probing is
@@ -148,8 +134,7 @@ ShardedJoinParts ShardedValueIndexThetaJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
     std::span<const Pre> outer, const Document& inner_doc,
     const ValueIndex& inner_index, const ValueProbeSpec& spec, CmpOp op,
-    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr,
-    bool vectorized = true);
+    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr);
 
 // Theta join against a materialized inner node list: builds the sorted
 // ThetaRun once, then probes it from per-chunk parallel lanes (the
@@ -158,7 +143,7 @@ ShardedJoinParts ShardedSortThetaJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
     std::span<const Pre> outer, const Document& inner_doc,
     std::span<const Pre> inner, CmpOp op, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
+    const CancellationToken* cancel = nullptr);
 
 // Merged (eager) wrappers over the Parts functions. A single-lane
 // fallback returns the lane's pairs directly, without a merge copy.
@@ -166,31 +151,19 @@ JoinPairs ShardedStructuralJoinPairs(
     const ShardedExec* ex, DocId ctx_doc, const Document& target_doc,
     std::span<const Pre> context, const StepSpec& step,
     const ElementIndex* index, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
+    const CancellationToken* cancel = nullptr);
 
-JoinPairs ShardedHashValueJoinPairs(
-    const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
 JoinPairs ShardedHashValueJoinPairs(
     const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel = nullptr, bool vectorized = true);
+    const CancellationToken* cancel = nullptr);
 
-JoinPairs ShardedValueIndexJoinPairs(
-    const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr,
-    bool vectorized = true);
 JoinPairs ShardedValueIndexJoinPairs(
     const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr,
-    bool vectorized = true);
+    ShardFanoutStats* stats, const CancellationToken* cancel = nullptr);
 
 }  // namespace rox
 

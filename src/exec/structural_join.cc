@@ -9,12 +9,6 @@ namespace rox {
 
 namespace {
 
-// First poll waits a full kCancelCheckRows interval, so τ-sized
-// sampling calls never pay a clock read (DESIGN.md §13).
-inline bool CancelCheckDue(uint64_t count) {
-  return (count & (kCancelCheckRows - 1)) == 0;
-}
-
 // True if the index can accelerate this step: element-kind name test on
 // an axis whose result is a contiguous pre range (possibly minus a few
 // exclusions).
@@ -228,49 +222,24 @@ bool EmitMatches(const Document& doc, Pre c, const StepSpec& step,
 
 }  // namespace
 
-namespace {
-
-// Row-at-a-time fallback path.
-void StructuralJoinScalar(const Document& doc, const PreColumn& context,
-                          const StepSpec& step, uint64_t limit,
-                          const ElementIndex* index, JoinPairs& out,
-                          const CancellationToken* cancel) {
-  for (size_t i = 0; i < context.size(); ++i) {
-    if (CancelCheckDue(i + 1) && StopRequested(cancel)) {
-      out.truncated = true;
-      out.outer_consumed = i;
-      return;
-    }
-    uint32_t row = static_cast<uint32_t>(i);
-    bool completed =
-        EmitMatches(doc, context[i], step, index, [&](Pre s) -> bool {
-          out.left_rows.push_back(row);
-          out.right_nodes.push_back(s);
-          if (limit != kNoLimit && out.right_nodes.size() > limit) {
-            return false;
-          }
-          return !(CancelCheckDue(out.right_nodes.size()) &&
-                   StopRequested(cancel));
-        });
-    if (!completed) {
-      StampTruncationStop(out, limit, i);
-      return;
-    }
-  }
-  out.truncated = false;
-  out.outer_consumed = context.size();
-}
-
-// Batched path: per kKernelBatchRows of context rows, one governance
-// poll at the batch boundary, then per row a bulk append of the
-// contiguous index-range match span where the axis allows it
-// (descendant, descendant-or-self, following with a usable index);
-// every other axis emits through a BatchEmitter-backed sink, which
-// still centralizes the sentinel and output-growth-poll protocols.
-void StructuralJoinBatched(const Document& doc, const PreColumn& context,
-                           const StepSpec& step, uint64_t limit,
-                           const ElementIndex* index, JoinPairs& out,
-                           const CancellationToken* cancel) {
+// Cut-off protocol: allow up to limit+1 pairs; producing the sentinel
+// (limit+1)-th pair proves the result was truncated, otherwise the
+// result is complete and exact. The reduction factor follows the
+// paper's f = max(r.rowid) / max(c.rowid). A cancellation trip stops
+// through the same unwinding; callers re-check the token.
+//
+// Per kKernelBatchRows of context rows, one governance poll at the
+// batch boundary, then per row a bulk append of the contiguous
+// index-range match span where the axis allows it (descendant,
+// descendant-or-self, following with a usable index); every other axis
+// emits through a BatchEmitter-backed sink, which still centralizes the
+// sentinel and output-growth-poll protocols.
+void StructuralJoinPairsInto(const Document& doc, const PreColumn& context,
+                             const StepSpec& step, uint64_t limit,
+                             const ElementIndex* index, JoinPairs& out,
+                             const CancellationToken* cancel) {
+  out.Clear();
+  out.Reserve(limit != kNoLimit ? limit + 1 : context.size());
   BatchEmitter em(out, limit, cancel);
   const bool indexed = IndexUsable(step, index);
   const bool bulk_range =
@@ -302,11 +271,11 @@ void StructuralJoinBatched(const Document& doc, const PreColumn& context,
           stop = em.Append(row, range);
         }
       } else {
-        bool completed = EmitMatches(doc, c, step, index, [&](Pre s) {
+        // `stop` carries the cause when the sink ends the enumeration.
+        EmitMatches(doc, c, step, index, [&](Pre s) {
           stop = em.Push(row, s);
           return stop == BatchEmitter::Stop::kNone;
         });
-        (void)completed;  // `stop` carries the cause
       }
       if (stop != BatchEmitter::Stop::kNone) {
         StampTruncationStop(out, limit, i0 + b);
@@ -318,46 +287,13 @@ void StructuralJoinBatched(const Document& doc, const PreColumn& context,
   out.outer_consumed = context.size();
 }
 
-}  // namespace
-
-void StructuralJoinPairsInto(const Document& doc, const PreColumn& context,
-                             const StepSpec& step, uint64_t limit,
-                             const ElementIndex* index, JoinPairs& out,
-                             const CancellationToken* cancel,
-                             bool vectorized) {
-  // Cut-off protocol: allow up to limit+1 pairs; producing the sentinel
-  // (limit+1)-th pair proves the result was truncated, otherwise the
-  // result is complete and exact. The reduction factor follows the
-  // paper's f = max(r.rowid) / max(c.rowid). A cancellation trip stops
-  // through the same unwinding; callers re-check the token.
-  out.Clear();
-  out.Reserve(limit != kNoLimit ? limit + 1 : context.size());
-  if (vectorized) {
-    StructuralJoinBatched(doc, context, step, limit, index, out, cancel);
-  } else {
-    StructuralJoinScalar(doc, context, step, limit, index, out, cancel);
-  }
-}
-
-void StructuralJoinPairsInto(const Document& doc,
-                             std::span<const Pre> context,
-                             const StepSpec& step, uint64_t limit,
-                             const ElementIndex* index, JoinPairs& out,
-                             const CancellationToken* cancel,
-                             bool vectorized) {
-  StructuralJoinPairsInto(doc, PreColumn::FromSpan(context), step, limit,
-                          index, out, cancel, vectorized);
-}
-
 JoinPairs StructuralJoinPairs(const Document& doc,
                               std::span<const Pre> context,
                               const StepSpec& step, uint64_t limit,
                               const ElementIndex* index,
-                              const CancellationToken* cancel,
-                              bool vectorized) {
+                              const CancellationToken* cancel) {
   JoinPairs out;
-  StructuralJoinPairsInto(doc, context, step, limit, index, out, cancel,
-                          vectorized);
+  StructuralJoinPairsInto(doc, context, step, limit, index, out, cancel);
   return out;
 }
 

@@ -13,19 +13,15 @@
 //  * MergeValueJoinPairs — merge join over inputs sorted by value id
 //    (cost min(|C|,|S|) + |R| when the inner is pre-sorted).
 //
-// Vectorized execution (DESIGN.md §14): every probe kernel has two
-// paths selected by its trailing `vectorized` flag. The vectorized
-// default processes the outer input in fixed-size batches of
-// kKernelBatchRows rows — one value pre-pass materializes NodeValue
-// (and the cached numeric interpretation) for the whole batch into
-// flat arrays, then the probe/emission loop runs over those arrays
-// with bulk appends wherever the match set is a contiguous span
-// (index runs, hash-table payload groups, range-join prefixes or
-// suffixes). The `false` path is the original row-at-a-time loop,
-// retained as the differential fallback (RoxOptions::vectorized_
-// kernels). Both paths emit byte-identical pairs, truncation flags and
-// outer_consumed for every limit; only cancellation *stop points* may
-// differ (a tripped result is discarded by the caller either way).
+// Batched execution (DESIGN.md §14): every probe kernel processes the
+// outer input in fixed-size batches of kKernelBatchRows rows — one
+// value pre-pass materializes NodeValue (and, for range joins, each
+// row's run boundaries) for the whole batch into flat arrays, then the
+// probe/emission loop runs over those arrays with bulk appends wherever
+// the match set is a contiguous span (index runs, hash-table payload
+// groups, range-join prefixes or suffixes). The pairs, truncation flags
+// and outer_consumed are pinned for every limit by a brute-force oracle
+// (tests/kernel_invariant_test.cc).
 
 #ifndef ROX_EXEC_VALUE_JOIN_H_
 #define ROX_EXEC_VALUE_JOIN_H_
@@ -76,30 +72,18 @@ JoinPairs ValueIndexJoinPairs(const Document& outer_doc,
                               const ValueIndex& inner_index,
                               const ValueProbeSpec& spec,
                               uint64_t limit = kNoLimit,
-                              const CancellationToken* cancel = nullptr,
-                              bool vectorized = true);
+                              const CancellationToken* cancel = nullptr);
 
 // Allocation-free variant: clears and refills `out`, reusing its
-// buffers' capacity (see StructuralJoinPairsInto).
-void ValueIndexJoinPairsInto(const Document& outer_doc,
-                             std::span<const Pre> outer,
-                             const Document& inner_doc,
-                             const ValueIndex& inner_index,
-                             const ValueProbeSpec& spec, uint64_t limit,
-                             JoinPairs& out,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
-
-// Selection-vector-aware entry point (lazy views probe without a
-// gather).
+// buffers' capacity (see StructuralJoinPairsInto). `outer` may be a
+// lazy view column, so lazy views probe without a gather.
 void ValueIndexJoinPairsInto(const Document& outer_doc,
                              const PreColumn& outer,
                              const Document& inner_doc,
                              const ValueIndex& inner_index,
                              const ValueProbeSpec& spec, uint64_t limit,
                              JoinPairs& out,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Hash equi-join: builds value -> inner positions, probes with outer.
 // Pairs reference outer rows and inner *nodes*.
@@ -107,8 +91,7 @@ JoinPairs HashValueJoinPairs(const Document& outer_doc,
                              std::span<const Pre> outer,
                              const Document& inner_doc,
                              std::span<const Pre> inner,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // The build side of the hash equi-join, split out so a sharded
 // execution can build the table once and probe it from several threads
@@ -134,20 +117,13 @@ class ValueHashTable {
   // Probes with `outer`; identical to the probe loop of
   // HashValueJoinPairs. Emitted left_rows index into `outer`.
   JoinPairs Probe(const Document& outer_doc, std::span<const Pre> outer,
-                  const CancellationToken* cancel = nullptr,
-                  bool vectorized = true) const;
+                  const CancellationToken* cancel = nullptr) const;
 
-  // Allocation-free probe into a caller-reused buffer.
-  void ProbeInto(const Document& outer_doc, std::span<const Pre> outer,
-                 JoinPairs& out,
-                 const CancellationToken* cancel = nullptr,
-                 bool vectorized = true) const;
-
-  // Selection-vector-aware probe (lazy views probe without a gather).
+  // Allocation-free probe into a caller-reused buffer. `outer` may be a
+  // lazy view column (a selection vector).
   void ProbeInto(const Document& outer_doc, const PreColumn& outer,
                  JoinPairs& out,
-                 const CancellationToken* cancel = nullptr,
-                 bool vectorized = true) const;
+                 const CancellationToken* cancel = nullptr) const;
 
  private:
   FlatRunMap<StringId, kInvalidStringId> by_value_;  // a = offset, b = len
@@ -194,24 +170,21 @@ void ValueIndexThetaJoinPairsInto(const Document& outer_doc,
                                   const ValueIndex& inner_index,
                                   const ValueProbeSpec& spec, CmpOp op,
                                   uint64_t limit, JoinPairs& out,
-                                  const CancellationToken* cancel = nullptr,
-                                  bool vectorized = true);
+                                  const CancellationToken* cancel = nullptr);
 JoinPairs ValueIndexThetaJoinPairs(const Document& outer_doc,
                                    std::span<const Pre> outer,
                                    const Document& inner_doc,
                                    const ValueIndex& inner_index,
                                    const ValueProbeSpec& spec, CmpOp op,
                                    uint64_t limit = kNoLimit,
-                                   const CancellationToken* cancel = nullptr,
-                                   bool vectorized = true);
+                                   const CancellationToken* cancel = nullptr);
 
 // Theta probe against a prebuilt run (see ThetaRun::Build).
 void ThetaRunJoinPairsInto(const Document& outer_doc,
                            std::span<const Pre> outer,
                            const Document& inner_doc, const ThetaRun& run,
                            CmpOp op, uint64_t limit, JoinPairs& out,
-                           const CancellationToken* cancel = nullptr,
-                           bool vectorized = true);
+                           const CancellationToken* cancel = nullptr);
 
 // One-shot convenience: Build + probe over a materialized inner list.
 JoinPairs SortThetaJoinPairs(const Document& outer_doc,
@@ -219,20 +192,18 @@ JoinPairs SortThetaJoinPairs(const Document& outer_doc,
                              const Document& inner_doc,
                              std::span<const Pre> inner, CmpOp op,
                              uint64_t limit = kNoLimit,
-                             const CancellationToken* cancel = nullptr,
-                             bool vectorized = true);
+                             const CancellationToken* cancel = nullptr);
 
 // Merge equi-join over inputs that the caller pre-sorted with
 // SortByValueId. Produces the same pair multiset as the hash join.
-// The vectorized path materializes both sides' value ids once (one
-// NodeValue per input row instead of one per comparison) and
-// bulk-copies each equal-value group's cross product.
+// Materializes both sides' value ids once (one NodeValue per input row
+// instead of one per comparison) and bulk-copies each equal-value
+// group's cross product.
 JoinPairs MergeValueJoinPairs(const Document& outer_doc,
                               std::span<const Pre> outer_sorted,
                               const Document& inner_doc,
                               std::span<const Pre> inner_sorted,
-                              const CancellationToken* cancel = nullptr,
-                              bool vectorized = true);
+                              const CancellationToken* cancel = nullptr);
 
 // Sorts node list by (value id, pre); nodes without a value sort last
 // and never join. Decorate-sort-undecorate: one NodeValue per node,

@@ -88,14 +88,6 @@ struct RoxOptions {
   // bench_materialization.
   bool lazy_materialization = true;
 
-  // Vectorized batch kernels (DESIGN.md §14): join kernels process the
-  // outer input in fixed-size batches with a value pre-pass and bulk
-  // span emission instead of row-at-a-time probing. Results are
-  // byte-identical either way — the flag exists as the differential-
-  // testing fallback and the perf-ablation baseline, like
-  // lazy_materialization above.
-  bool vectorized_kernels = true;
-
   // Seed for all sampling randomness; a fixed seed makes runs exactly
   // reproducible.
   uint64_t seed = 0x9e3779b9;

@@ -392,8 +392,7 @@ EdgeSample RoxState::SampleEdgeFrom(EdgeId e, VertexId from,
                                   ? &corpus_.element_index(tx.doc)
                                   : nullptr;
     StructuralJoinPairsInto(target_doc, input, StepSpecFrom(e, from), limit,
-                            idx, pairs, options_.cancel,
-                            options_.vectorized_kernels);
+                            idx, pairs, options_.cancel);
   } else {
     const Vertex& fx = graph_.vertex(from);
     const Document& from_doc = corpus_.doc(fx.doc);
@@ -404,15 +403,13 @@ EdgeSample RoxState::SampleEdgeFrom(EdgeId e, VertexId from,
     if (cmp == CmpOp::kEq) {
       ValueIndexJoinPairsInto(from_doc, input, target_doc,
                               corpus_.value_index(tx.doc), spec, limit,
-                              pairs, options_.cancel,
-                              options_.vectorized_kernels);
+                              pairs, options_.cancel);
     } else {
       // Theta edges sample through the index's sorted runs — still
       // zero-investment w.r.t. the input side (DESIGN.md §11).
       ValueIndexThetaJoinPairsInto(from_doc, input, target_doc,
                                    corpus_.value_index(tx.doc), spec, cmp,
-                                   limit, pairs, options_.cancel,
-                                   options_.vectorized_kernels);
+                                   limit, pairs, options_.cancel);
     }
   }
   FilterPairsForVertex(target, pairs);
@@ -588,8 +585,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
                                   : nullptr;
     return finish(ShardedStructuralJoinParts(
         Sharded(), graph_.vertex(ctx).doc, target_doc, ctx_nodes,
-        StepSpecFrom(e, ctx), idx, &stats_.sharded, options_.cancel,
-        options_.vectorized_kernels));
+        StepSpecFrom(e, ctx), idx, &stats_.sharded, options_.cancel));
   }
   const CmpOp cmp = edge.CmpFrom(ctx);
   if (cmp != CmpOp::kEq) {
@@ -604,8 +600,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
       last_kernel_ = "theta-run";
       return finish(ShardedSortThetaJoinParts(
           Sharded(), ctx_doc, ctx_nodes, target_doc, *vertices_[tgt].table,
-          cmp, &stats_.sharded, options_.cancel,
-          options_.vectorized_kernels));
+          cmp, &stats_.sharded, options_.cancel));
     }
     last_kernel_ = "theta-index";
     ValueProbeSpec spec = tx.type == VertexType::kAttribute
@@ -614,7 +609,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
     return finish(ShardedValueIndexThetaJoinParts(
         Sharded(), ctx_doc, ctx_nodes, target_doc,
         corpus_.value_index(tx.doc), spec, cmp, &stats_.sharded,
-        options_.cancel, options_.vectorized_kernels));
+        options_.cancel));
   }
   if (vertices_[tgt].table.has_value()) {
     // Both ends materialized: pick among the applicable algorithms
@@ -628,8 +623,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
         last_kernel_ = "hash";
         return finish(ShardedHashValueJoinParts(
             Sharded(), ctx_doc, ctx_nodes, target_doc,
-            *vertices_[tgt].table, &stats_.sharded, options_.cancel,
-            options_.vectorized_kernels));
+            *vertices_[tgt].table, &stats_.sharded, options_.cancel));
       case EquiAlgo::kMerge: {
         last_kernel_ = "merge";
         std::vector<Pre> outer_sorted = SortByValueId(ctx_doc, ctx_nodes);
@@ -637,8 +631,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
             SortByValueId(target_doc, *vertices_[tgt].table);
         JoinPairs pairs = MergeValueJoinPairs(ctx_doc, outer_sorted,
                                               target_doc, inner_sorted,
-                                              options_.cancel,
-                                              options_.vectorized_kernels);
+                                              options_.cancel);
         // Re-mapping outer rows back to ctx_nodes positions is
         // unnecessary: R_e only needs the matched *nodes* on both
         // sides, so R_e is built against outer_sorted directly.
@@ -679,8 +672,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
             corpus_.value_index(tx.doc),
             tx.type == VertexType::kAttribute ? ValueProbeSpec::Attr(tx.name)
                                               : ValueProbeSpec::Text(),
-            &stats_.sharded, options_.cancel,
-            options_.vectorized_kernels));
+            &stats_.sharded, options_.cancel));
     }
     return Status::Internal("unhandled equi-join algorithm");
   }
@@ -691,8 +683,7 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
   return finish(ShardedValueIndexJoinParts(Sharded(), ctx_doc, ctx_nodes,
                                            target_doc,
                                            corpus_.value_index(tx.doc), spec,
-                                           &stats_.sharded, options_.cancel,
-                                           options_.vectorized_kernels));
+                                           &stats_.sharded, options_.cancel));
 }
 
 void RoxState::StoreLazyResult(EdgeId e, std::span<const Pre> ctx_base,
@@ -858,8 +849,7 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
     StopWatch w;
     ValueIndexJoinPairsInto(cdoc, cs.sample, tdoc,
                             corpus_.value_index(tx.doc), spec, options_.tau,
-                            sample_scratch_, nullptr,
-                            options_.vectorized_kernels);
+                            sample_scratch_, nullptr);
     cost_nl = w.ElapsedNanos() / static_cast<double>(cs.sample.size()) *
               n_outer;
   }
@@ -868,8 +858,7 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
   double cost_hash;
   {
     StopWatch w;
-    HashValueJoinPairs(cdoc, cs.sample, tdoc, ts.sample, nullptr,
-                       options_.vectorized_kernels);
+    HashValueJoinPairs(cdoc, cs.sample, tdoc, ts.sample, nullptr);
     double per =
         w.ElapsedNanos() /
         static_cast<double>(cs.sample.size() + ts.sample.size());
@@ -881,8 +870,7 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
     StopWatch w;
     auto so = SortByValueId(cdoc, cs.sample);
     auto si = SortByValueId(tdoc, ts.sample);
-    MergeValueJoinPairs(cdoc, so, tdoc, si, nullptr,
-                        options_.vectorized_kernels);
+    MergeValueJoinPairs(cdoc, so, tdoc, si, nullptr);
     double sample_n =
         static_cast<double>(cs.sample.size() + ts.sample.size());
     double per = w.ElapsedNanos() / (sample_n * std::log2(sample_n + 2));

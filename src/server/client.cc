@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/str_util.h"
+
 namespace rox::server {
 
 Status HttpClient::Connect(const std::string& host, uint16_t port) {
@@ -126,7 +128,12 @@ Result<HttpResponse> HttpClient::Request(
       if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
     }
     if (name == "content-length") {
-      content_length = std::strtoull(value.c_str(), nullptr, 10);
+      uint64_t n = 0;
+      if (!ParseDecimalU64(value, &n)) {
+        Close();
+        return Status::Internal("malformed Content-Length: " + value);
+      }
+      content_length = n;
     } else if (name == "connection" && value == "close") {
       server_closes = true;
     }

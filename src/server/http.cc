@@ -1,7 +1,8 @@
 #include "server/http.h"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/str_util.h"
 
 namespace rox::server {
 
@@ -160,13 +161,15 @@ void HttpParser::ParseHeaders() {
   }
   // Content-Length is digits only (no sign, space or list), and every
   // copy of it must agree: the body boundary is where the next
-  // pipelined request starts, so any doubt about it is a 400.
+  // pipelined request starts, so any doubt about it is a 400. Digits
+  // beyond 64 bits are a length, just too large: 413.
   body_expected_ = 0;
   const std::string* length = nullptr;
+  uint64_t length_value = 0;
+  bool oversized = false;
   for (const auto& [name, value] : request_.headers) {
     if (!EqualsIgnoreCase(name, "Content-Length")) continue;
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
+    if (!ParseDecimalU64(value, &length_value, &oversized) && !oversized) {
       Fail(400, "malformed Content-Length");
       return;
     }
@@ -177,16 +180,11 @@ void HttpParser::ParseHeaders() {
     length = &value;
   }
   if (length != nullptr) {
-    // 19 digits always fit in 64 bits; longer values are refused as
-    // too large.
-    const uint64_t v = length->size() > 19
-                           ? UINT64_MAX
-                           : std::strtoull(length->c_str(), nullptr, 10);
-    if (v > limits_.max_body_bytes) {
+    if (oversized || length_value > limits_.max_body_bytes) {
       Fail(413, "request body exceeds limit");
       return;
     }
-    body_expected_ = static_cast<size_t>(v);
+    body_expected_ = static_cast<size_t>(length_value);
   }
   state_ = State::kBody;
   MaybeFinishBody();

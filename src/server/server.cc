@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/escape.h"
+#include "common/str_util.h"
 #include "obs/metrics.h"
 
 namespace rox::server {
@@ -29,19 +30,6 @@ Status ErrnoStatus(const char* what) {
 bool SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-// Parses a non-negative integer header value; false on junk.
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0' || text[0] == '-') {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 double NowMs() {
@@ -459,7 +447,7 @@ void HttpServer::DispatchQuery(uint64_t id, Connection& conn,
   QueryLimits limits;
   uint64_t v = 0;
   if (const std::string* h = req.FindHeader("X-Deadline-Ms")) {
-    if (!ParseUint(*h, &v)) {
+    if (!ParseDecimalU64(*h, &v)) {
       QueueResponse(conn, 400, kJsonType, JsonError("bad X-Deadline-Ms"));
       return;
     }
@@ -468,7 +456,7 @@ void HttpServer::DispatchQuery(uint64_t id, Connection& conn,
   if (const std::string* h = req.FindHeader("X-Memory-Budget-Mb")) {
     // Beyond 2^44 - 1 MiB the byte count would wrap (2^44 to 0, which
     // means unlimited).
-    if (!ParseUint(*h, &v) || v > (UINT64_MAX >> 20)) {
+    if (!ParseDecimalU64(*h, &v) || v > (UINT64_MAX >> 20)) {
       QueueResponse(conn, 400, kJsonType,
                     JsonError("bad X-Memory-Budget-Mb"));
       return;
@@ -476,7 +464,7 @@ void HttpServer::DispatchQuery(uint64_t id, Connection& conn,
     limits.memory_budget_bytes = v << 20;
   }
   if (const std::string* h = req.FindHeader("X-Max-Rows")) {
-    if (!ParseUint(*h, &v)) {
+    if (!ParseDecimalU64(*h, &v)) {
       QueueResponse(conn, 400, kJsonType, JsonError("bad X-Max-Rows"));
       return;
     }

@@ -389,15 +389,7 @@ class Parser {
     bool descend = At(Tok::kSlashSlash);
     Advance();
     s.axis = descend ? Axis::kDescendant : Axis::kChild;
-    if (At(Tok::kAt)) {
-      Advance();
-      if (!At(Tok::kIdent)) return Err("expected attribute name after @");
-      s.test = AstStep::Test::kAttribute;
-      s.axis = Axis::kAttribute;  // @x is always attribute-axis
-      s.name = Cur().text;
-      Advance();
-      return s;
-    }
+    if (At(Tok::kAt)) return ParseAttributeStep();  // always attribute-axis
     if (At(Tok::kStar)) {
       Advance();
       s.test = AstStep::Test::kAnyElement;
@@ -444,10 +436,29 @@ class Parser {
     return s;
   }
 
+  // "@name": an attribute-axis step. The '@' must be current.
+  Result<AstStep> ParseAttributeStep() {
+    Advance();
+    if (!At(Tok::kIdent)) return Err("expected attribute name after @");
+    AstStep s;
+    s.test = AstStep::Test::kAttribute;
+    s.axis = Axis::kAttribute;
+    s.name = Cur().text;
+    Advance();
+    return s;
+  }
+
   Result<AstPredicate> ParsePredicate() {
     AstPredicate pred;
-    if (!At(Tok::kDot)) return Err("predicate must start with '.'");
-    Advance();
+    if (At(Tok::kAt)) {
+      // "@name" abbreviates the relative attribute step "./@name".
+      ROX_ASSIGN_OR_RETURN(AstStep s, ParseAttributeStep());
+      pred.path.push_back(std::move(s));
+    } else if (At(Tok::kDot)) {
+      Advance();
+    } else {
+      return Err("predicate must start with '.' or '@'");
+    }
     while (At(Tok::kSlash) || At(Tok::kSlashSlash)) {
       ROX_ASSIGN_OR_RETURN(AstStep s, ParseStep());
       pred.path.push_back(std::move(s));

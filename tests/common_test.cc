@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -175,6 +176,35 @@ TEST(StrUtilTest, StartsEndsWith) {
   EXPECT_FALSE(StartsWith("fo", "foo"));
   EXPECT_TRUE(EndsWith("foobar", "bar"));
   EXPECT_FALSE(EndsWith("ar", "bar"));
+}
+
+TEST(StrUtilTest, ParseDecimalU64IsDigitsOnly) {
+  uint64_t v = 7;
+  bool overflow = true;
+  EXPECT_TRUE(ParseDecimalU64("0", &v, &overflow));
+  EXPECT_EQ(v, 0u);
+  EXPECT_FALSE(overflow);
+  EXPECT_TRUE(ParseDecimalU64("18446744073709551615", &v, &overflow));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_FALSE(overflow);
+  EXPECT_TRUE(ParseDecimalU64("0000000000000000000000042", &v));
+  EXPECT_EQ(v, 42u);
+
+  // One past UINT64_MAX: all digits, but too large.
+  v = 7;
+  EXPECT_FALSE(ParseDecimalU64("18446744073709551616", &v, &overflow));
+  EXPECT_TRUE(overflow);
+  EXPECT_EQ(v, 7u);  // untouched on failure
+  // Junk after an overflowing prefix is still junk.
+  EXPECT_FALSE(ParseDecimalU64("99999999999999999999x", &v, &overflow));
+  EXPECT_FALSE(overflow);
+
+  for (const char* junk : {"", "+1", "-1", " 1", "1 ", "0x1", "1.0", "1e3"}) {
+    overflow = true;
+    EXPECT_FALSE(ParseDecimalU64(junk, &v, &overflow)) << '"' << junk << '"';
+    EXPECT_FALSE(overflow) << '"' << junk << '"';
+    EXPECT_EQ(v, 7u) << '"' << junk << '"';
+  }
 }
 
 TEST(StrUtilTest, HumanBytes) {

@@ -429,6 +429,18 @@ struct ThresholdCase {
   bool less_than;
 };
 
+// "lt_145", "gt_neg1": both the test-name suffix and GetParam()'s
+// printout. Without a printer gtest dumps the struct's bytes, padding
+// included, so the discovered ctest names changed from run to run.
+std::string ThresholdName(const ThresholdCase& c) {
+  std::string n = c.less_than ? "lt_" : "gt_";
+  return n + (c.threshold < 0 ? "neg1"
+                              : std::to_string(static_cast<int>(c.threshold)));
+}
+void PrintTo(const ThresholdCase& c, std::ostream* os) {
+  *os << ThresholdName(c);
+}
+
 class RoxThresholdSweep : public ::testing::TestWithParam<ThresholdCase> {};
 
 TEST_P(RoxThresholdSweep, MatchesOracle) {
@@ -458,10 +470,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ThresholdCase{400, true},   // everything / nothing
                       ThresholdCase{-1, false}),
     [](const ::testing::TestParamInfo<ThresholdCase>& info) {
-      std::string n = info.param.less_than ? "lt_" : "gt_";
-      double t = info.param.threshold;
-      n += t < 0 ? "neg1" : std::to_string(static_cast<int>(t));
-      return n;
+      return ThresholdName(info.param);
     });
 
 TEST(RoxOptimizerTest, RoxJoinOrderExtraction) {

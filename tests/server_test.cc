@@ -191,6 +191,7 @@ TEST_F(ServerTest, HeadersMapOntoQueryLimitsAndModes) {
 
   // Junk header values are rejected before anything executes. 2^44 MiB
   // is 2^64 bytes: it used to wrap to a budget of 0, i.e. unlimited.
+  // Numbers are digits only: a sign used to be accepted.
   const std::vector<std::pair<std::string, std::string>> junk = {
       {"X-Deadline-Ms", "banana"},
       {"X-Memory-Budget-Mb", "banana"},
@@ -198,6 +199,9 @@ TEST_F(ServerTest, HeadersMapOntoQueryLimitsAndModes) {
       {"X-Query-Mode", "banana"},
       {"X-Trace-Level", "banana"},
       {"X-Memory-Budget-Mb", "17592186044416"},
+      {"X-Deadline-Ms", "+1"},
+      {"X-Memory-Budget-Mb", "+1"},
+      {"X-Max-Rows", "+1"},
   };
   for (const auto& header : junk) {
     auto bad = client.Request("POST", "/query", {header}, FastQuery());
@@ -562,6 +566,58 @@ TEST_F(ServerTest, StopWhileQueryInFlightDrainsCleanly) {
   poster.join();
   EXPECT_EQ(stack->server.Snapshot().queries_inflight, 0u);
   EXPECT_EQ(stack->server.Snapshot().open_connections, 0u);
+}
+
+// The client frames responses by Content-Length, so it parses that
+// header like the server does: digits only. Each case is served by a
+// one-shot loopback peer writing a canned response.
+TEST(HttpClientTest, ResponseContentLengthIsDigitsOnly) {
+  auto fetch = [](const std::string& length) -> Result<server::HttpResponse> {
+    int lfd = socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(bind(lfd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(listen(lfd, 1), 0);
+    EXPECT_EQ(getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    std::thread peer([lfd, length] {
+      int fd = accept(lfd, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string head;
+      char c;
+      while (head.find("\r\n\r\n") == std::string::npos &&
+             read(fd, &c, 1) == 1) {
+        head.push_back(c);
+      }
+      const std::string resp =
+          "HTTP/1.1 200 OK\r\nContent-Length: " + length + "\r\n\r\nhello";
+      EXPECT_EQ(write(fd, resp.data(), resp.size()),
+                static_cast<ssize_t>(resp.size()));
+      close(fd);
+    });
+    server::HttpClient client;
+    Result<server::HttpResponse> out = Status::Internal("no connection");
+    if (client.Connect("127.0.0.1", ntohs(addr.sin_port)).ok()) {
+      out = client.Request("GET", "/healthz", {}, "");
+    }
+    client.Close();
+    peer.join();
+    close(lfd);
+    return out;
+  };
+  auto good = fetch("5");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->body, "hello");
+  // strtoull used to read "5x" and "+5" as 5 and junk as 0.
+  for (const char* junk : {"5x", "+5", "-1", "banana", ""}) {
+    auto bad = fetch(junk);
+    ASSERT_FALSE(bad.ok()) << '"' << junk << '"';
+    EXPECT_NE(bad.status().message().find("Content-Length"),
+              std::string::npos)
+        << bad.status().ToString();
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "workload/xmark.h"
 #include "xq/compile.h"
@@ -182,6 +184,60 @@ TEST(XqParserTest, DisjunctivePredicateGroups) {
   EXPECT_EQ(groups3[0].alternatives[0].size(), 2u);
 }
 
+// `@name` at the head of a predicate abbreviates the relative attribute
+// step `./@name`: both spellings parse to the same AST.
+TEST(XqParserTest, AbbreviatedAttributePredicate) {
+  auto groups_of = [](const std::string& pred) {
+    auto q = ParseXQuery("for $p in doc(\"d.xml\")//person" + pred +
+                         " return $p");
+    EXPECT_TRUE(q.ok()) << pred << ": " << q.status().ToString();
+    return q.ok() ? q->fors[0].domain.steps[0].predicate_groups
+                  : std::vector<AstPredicateGroup>{};
+  };
+  auto same = [](const std::vector<AstPredicateGroup>& a,
+                 const std::vector<AstPredicateGroup>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t g = 0; g < a.size(); ++g) {
+      const auto& x = a[g].alternatives;
+      const auto& y = b[g].alternatives;
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i].size() != y[i].size()) return false;
+        for (size_t k = 0; k < x[i].size(); ++k) {
+          const AstPredicate& u = x[i][k];
+          const AstPredicate& v = y[i][k];
+          if (u.op != v.op || u.literal != v.literal ||
+              u.literal_is_number != v.literal_is_number ||
+              u.path.size() != v.path.size()) {
+            return false;
+          }
+          for (size_t s = 0; s < u.path.size(); ++s) {
+            if (u.path[s].axis != v.path[s].axis ||
+                u.path[s].test != v.path[s].test ||
+                u.path[s].name != v.path[s].name) {
+              return false;
+            }
+          }
+        }
+      }
+    }
+    return true;
+  };
+  auto abbreviated =
+      groups_of(R"([@id = "person0" or @id = "person1"][@income > 5][@x])");
+  auto spelled = groups_of(
+      R"([./@id = "person0" or ./@id = "person1"][./@income > 5][./@x])");
+  ASSERT_EQ(abbreviated.size(), 3u);
+  EXPECT_TRUE(same(abbreviated, spelled));
+  const AstStep& step = abbreviated[0].alternatives[1][0].path[0];
+  EXPECT_EQ(step.axis, Axis::kAttribute);
+  EXPECT_EQ(step.test, AstStep::Test::kAttribute);
+  EXPECT_EQ(step.name, "id");
+
+  EXPECT_FALSE(
+      ParseXQuery(R"(for $p in doc("d.xml")//person[@ = "a"] return $p)")
+          .ok());
+}
 
 TEST(XqParserTest, ExplicitAxes) {
   auto q = ParseXQuery(R"(
@@ -313,6 +369,26 @@ TEST_F(XqCompileTest, RunAppliesTail) {
 }
 
 
+
+TEST_F(XqCompileTest, AbbreviatedAttributePredicateMatchesSpelledForm) {
+  RoxOptions opt;
+  opt.tau = 20;
+  auto run = [&](const std::string& pred) {
+    auto compiled = CompileXQuery(
+        corpus_, "for $p in doc(\"xmark.xml\")//person" + pred +
+                     " return $p");
+    EXPECT_TRUE(compiled.ok()) << pred << ": "
+                               << compiled.status().ToString();
+    if (!compiled.ok()) return std::vector<Pre>{};
+    auto seq = RunXQuery(corpus_, *compiled, opt);
+    EXPECT_TRUE(seq.ok()) << pred << ": " << seq.status().ToString();
+    return seq.ok() ? *seq : std::vector<Pre>{};
+  };
+  std::vector<Pre> abbreviated =
+      run(R"([@id = "person0" or @id = "person1"])");
+  EXPECT_EQ(abbreviated.size(), 2u);
+  EXPECT_EQ(abbreviated, run(R"([./@id = "person0" or ./@id = "person1"])"));
+}
 
 TEST_F(XqCompileTest, PaperFigureOneQueryQ) {
   // The paper's running example Q (§2.1, Figure 1): personrefs of
