@@ -42,9 +42,8 @@ double ParseNumeric(std::string_view s);
 // nothing else (no sign, whitespace or radix prefix). Returns false on
 // any other text and on a value above UINT64_MAX. When `overflow` is
 // non-null it is set to whether the text was all digits but too large,
-// so a caller can tell an oversized number from junk. The one parser
-// behind every numeric HTTP header (server/http.cc, server/server.cc,
-// server/client.cc).
+// so a caller can tell an oversized number from junk. Every numeric
+// HTTP header, request or response, is parsed with it.
 bool ParseDecimalU64(std::string_view s, uint64_t* out,
                      bool* overflow = nullptr);
 
