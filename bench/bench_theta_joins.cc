@@ -1,19 +1,17 @@
 // Theta-join benchmark (DESIGN.md §11): runs the parameterized range-/
 // inequality-join and disjunctive-predicate queries of the XMark and
-// DBLP workloads through the full ROX pipeline in both materialization
-// modes, enforces byte-identical results, and reports per-query wall
-// times so the new edge class shows up in the perf trajectory (the CI
-// perf-trend job compares the JSON against the previous run's).
+// DBLP workloads through the full ROX pipeline and reports per-query
+// wall times and rows/sec, so the edge class shows up in the perf
+// trajectory (the CI perf-trend job compares the JSON against the
+// previous run's). Repeats of one query must return identical items;
+// the process exits 1 when they do not.
 //
 //   $ ./bench_theta_joins [--xmark_scale=0.15] [--dblp_tag_scale=0.1]
 //        [--repeat=5] [--tau=100] [--seed=42] [--smoke]
-//        [--json=BENCH_theta_joins.json] [--max_regression=0]
+//        [--json=BENCH_theta_joins.json]
 //
 // --smoke shrinks the corpus and repeat count for CI.
-// --max_regression=R fails the run if, on any query, the lazy total
-//   wall time exceeds R x the eager total wall time.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -47,23 +45,19 @@ std::vector<BenchQuery> Queries() {
   };
 }
 
-struct ModeRun {
+struct Run {
   double best_total_ms = 0;
   // Intermediate rows the best repeat pushed through its join kernels —
-  // with best_total_ms this yields the per-kernel rows/sec rate the
-  // perf-trend job tracks (row counts are representation-independent,
-  // so lazy and eager rates are directly comparable).
+  // with best_total_ms this yields the rows/sec rate the perf-trend job
+  // tracks.
   uint64_t intermediate_rows = 0;
   std::vector<Pre> items;
 };
 
-Result<ModeRun> RunMode(const Corpus& corpus,
-                        const xq::CompiledQuery& compiled,
-                        const RoxOptions& base, bool lazy, int repeat) {
-  ModeRun out;
+Result<Run> RunQuery(const Corpus& corpus, const xq::CompiledQuery& compiled,
+                     const RoxOptions& rox, int repeat) {
+  Run out;
   for (int r = 0; r < repeat; ++r) {
-    RoxOptions rox = base;
-    rox.lazy_materialization = lazy;
     RoxStats stats;
     StopWatch watch;
     auto items = xq::RunXQuery(corpus, compiled, rox, &stats);
@@ -76,15 +70,14 @@ Result<ModeRun> RunMode(const Corpus& corpus,
     if (r == 0) {
       out.items = std::move(*items);
     } else if (*items != out.items) {
-      return Status::Internal(
-          "result items differ between repeats of the same mode");
+      return Status::Internal("result items differ between repeats");
     }
   }
   return out;
 }
 
-// Rows/sec of a mode run (0 when the wall time rounds to zero).
-double RowsPerSec(const ModeRun& run) {
+// Rows/sec of a run (0 when the wall time rounds to zero).
+double RowsPerSec(const Run& run) {
   return run.best_total_ms > 0
              ? static_cast<double>(run.intermediate_rows) /
                    (run.best_total_ms / 1000.0)
@@ -101,7 +94,6 @@ int Main(int argc, char** argv) {
   const int repeat = static_cast<int>(flags.GetInt("repeat", smoke ? 2 : 5));
   const uint64_t tau = static_cast<uint64_t>(flags.GetInt("tau", 100));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const double max_regression = flags.GetDouble("max_regression", 0.0);
   const std::string json_path =
       flags.GetString("json", "BENCH_theta_joins.json");
   flags.FailOnUnused();
@@ -134,16 +126,11 @@ int Main(int argc, char** argv) {
   struct Row {
     std::string name;
     uint64_t items = 0;
-    double eager_ms = 0, lazy_ms = 0, speedup = 0;
-    double eager_rows_per_sec = 0, lazy_rows_per_sec = 0;
-    bool identical = false;
+    double ms = 0, rows_per_sec = 0;
   };
   std::vector<Row> rows;
-  bool all_identical = true;
-  bool regression = false;
 
-  std::printf("query           | eager ms | lazy ms  | lazy x | items    | "
-              "identical\n");
+  std::printf("query           | ms       | items\n");
   for (const BenchQuery& q : Queries()) {
     auto compiled = xq::CompileXQuery(corpus, q.text);
     if (!compiled.ok()) {
@@ -151,30 +138,19 @@ int Main(int argc, char** argv) {
                    compiled.status().ToString().c_str());
       return 1;
     }
-    auto eager = RunMode(corpus, *compiled, rox, /*lazy=*/false, repeat);
-    auto lazy = RunMode(corpus, *compiled, rox, /*lazy=*/true, repeat);
-    if (!eager.ok() || !lazy.ok()) {
+    auto run = RunQuery(corpus, *compiled, rox, repeat);
+    if (!run.ok()) {
       std::fprintf(stderr, "%s: %s\n", q.name.c_str(),
-                   (!eager.ok() ? eager : lazy).status().ToString().c_str());
+                   run.status().ToString().c_str());
       return 1;
     }
     Row row;
     row.name = q.name;
-    row.items = lazy->items.size();
-    row.eager_ms = eager->best_total_ms;
-    row.lazy_ms = lazy->best_total_ms;
-    row.speedup = row.lazy_ms > 0 ? row.eager_ms / row.lazy_ms : 0;
-    row.eager_rows_per_sec = RowsPerSec(*eager);
-    row.lazy_rows_per_sec = RowsPerSec(*lazy);
-    row.identical = eager->items == lazy->items;
-    all_identical &= row.identical;
-    if (max_regression > 0 && row.lazy_ms > row.eager_ms * max_regression) {
-      regression = true;
-    }
-    std::printf("%-15s | %8.1f | %8.1f | %5.2fx | %8llu | %s\n",
-                row.name.c_str(), row.eager_ms, row.lazy_ms, row.speedup,
-                static_cast<unsigned long long>(row.items),
-                row.identical ? "yes" : "NO");
+    row.items = run->items.size();
+    row.ms = run->best_total_ms;
+    row.rows_per_sec = RowsPerSec(*run);
+    std::printf("%-15s | %8.1f | %8llu\n", row.name.c_str(), row.ms,
+                static_cast<unsigned long long>(row.items));
     rows.push_back(std::move(row));
   }
 
@@ -189,17 +165,15 @@ int Main(int argc, char** argv) {
                  xmark_scale, dblp_tag_scale, repeat,
                  static_cast<unsigned long long>(tau),
                  static_cast<unsigned long long>(seed));
+    // The "lazy_" keys name the view path; they keep their names so the
+    // perf trend compares against earlier reports.
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"result_items\": %llu,\n"
-                   "     \"eager_total_ms\": %.3f, \"lazy_total_ms\": %.3f,\n"
-                   "     \"speedup_total\": %.3f, \"identical_results\": "
-                   "%s}%s\n",
+                   "     \"lazy_total_ms\": %.3f}%s\n",
                    r.name.c_str(), static_cast<unsigned long long>(r.items),
-                   r.eager_ms, r.lazy_ms, r.speedup,
-                   r.identical ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
+                   r.ms, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"metrics\": {\n");
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -207,12 +181,10 @@ int Main(int argc, char** argv) {
       // *_rows_per_sec metrics are higher-is-better; perf_trend.py
       // detects the suffix and inverts its regression ratio for them.
       std::fprintf(f,
-                   "    \"%s_lazy_ms\": %.3f, \"%s_eager_ms\": %.3f,\n"
-                   "    \"%s_lazy_rows_per_sec\": %.1f, "
-                   "\"%s_eager_rows_per_sec\": %.1f%s\n",
-                   r.name.c_str(), r.lazy_ms, r.name.c_str(), r.eager_ms,
-                   r.name.c_str(), r.lazy_rows_per_sec, r.name.c_str(),
-                   r.eager_rows_per_sec, i + 1 < rows.size() ? "," : "");
+                   "    \"%s_lazy_ms\": %.3f, "
+                   "\"%s_lazy_rows_per_sec\": %.1f%s\n",
+                   r.name.c_str(), r.ms, r.name.c_str(), r.rows_per_sec,
+                   i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
@@ -221,20 +193,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: lazy and eager runs returned different results on a "
-                 "theta query\n");
-    return 1;
-  }
-  if (regression) {
-    std::fprintf(stderr,
-                 "FAIL: lazy wall time exceeded %.2fx the eager baseline\n",
-                 max_regression);
-    return 1;
-  }
-  std::printf("lazy and eager results are byte-identical on every query\n");
   return 0;
 }
 

@@ -42,13 +42,10 @@ class CanonicalPlanExecutor {
   // steps and value joins of every plan out per shard — the fixed
   // *logical* plan (join order, step placement) is untouched, so the
   // measured plan-class ratios stay comparable; only wall-clock
-  // changes. Must outlive the executor. `lazy` (the default) keeps
-  // partition intermediates as selection-vector views over a per-run
-  // arena instead of row-copying at every join/filter; join sizes and
-  // result counts are identical either way (DESIGN.md §8).
+  // changes. Must outlive the executor. Partition intermediates are
+  // selection-vector views over a per-run arena (DESIGN.md §8).
   CanonicalPlanExecutor(const Corpus& corpus, std::vector<DocId> docs,
-                        const ShardedExec* sharded = nullptr,
-                        bool lazy = true);
+                        const ShardedExec* sharded = nullptr);
 
   // Runs one (join order, step placement) plan.
   Result<PlanRunStats> Run(const JoinOrder& order,
@@ -78,7 +75,6 @@ class CanonicalPlanExecutor {
   std::vector<DocId> docs_;
   StringId author_;
   const ShardedExec* sharded_;
-  bool lazy_;
   obs::QueryTrace* trace_ = nullptr;
   const CancellationToken* cancel_ = nullptr;
 };

@@ -636,6 +636,7 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
         rec.deadline_exceeded = true;
       }
       stats_.Record(rec);
+      admit_span.End();
       finish_trace();
       return out;
     }
@@ -705,6 +706,7 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
           stats_.Record(classify({.latency_ms = out.wall_ms,
                                   .failed = true,
                                   .plan_cache_hit = true}));
+          cache_span.End();
           finish_trace();
           return out;
         }
@@ -719,6 +721,7 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
         stats_.Record({.latency_ms = out.wall_ms,
                        .plan_cache_hit = true,
                        .result_cache_hit = true});
+        cache_span.End();
         finish_trace();
         return out;
       }
@@ -773,8 +776,6 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
 
   RoxOptions rox = options_.rox;
   rox.seed = MixSeed(options_.rox.seed, seq);
-  rox.lazy_materialization =
-      options_.lazy_materialization && options_.rox.lazy_materialization;
   if (st->sharded != nullptr) rox.sharded = &st->exec;
   rox.query_trace = trace.get();
   // Hand the whole pipeline its stop signal and allocation meter: the

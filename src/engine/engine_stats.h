@@ -41,8 +41,8 @@ struct EngineStats {
   double execution_ms = 0;
 
   // Late materialization: gather operations and bytes written by them
-  // across all runs (zero when lazy_materialization is off), and the
-  // largest single intermediate any run materialized.
+  // across all runs, and the largest single intermediate any run
+  // materialized.
   uint64_t gather_count = 0;
   uint64_t bytes_gathered = 0;
   uint64_t peak_intermediate_rows = 0;

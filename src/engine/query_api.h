@@ -99,9 +99,8 @@ struct QueryResult {
   // Engine-assigned sequence number (also the query's RNG stream id,
   // and the handle Engine::Kill takes).
   uint64_t sequence = 0;
-  // Bytes the query's memory budget metered (arena blocks, adopted
-  // columns, eager pair-result materializations). Informational even
-  // when no budget limit was set.
+  // Bytes the query's memory budget metered (arena blocks and adopted
+  // columns). Informational even when no budget limit was set.
   uint64_t memory_bytes = 0;
   // The query's flight recorder; null when the effective trace level
   // was kOff (the default).

@@ -39,7 +39,7 @@ inline constexpr size_t kKernelBatchRows = 1024;
 inline constexpr size_t kBulkAppendMinRows = 16;
 
 // Selection-vector-aware outer input: row i is base[sel[i]], or
-// base[i] when `sel` is null (a plain contiguous span). Lets a lazy
+// base[i] when `sel` is null (a plain contiguous span). Lets a
 // ResultView column feed a probe kernel directly, without gathering
 // into a temporary first (DESIGN.md §14); both referenced arrays are
 // borrowed and must outlive the call. Any contiguous Pre range (a

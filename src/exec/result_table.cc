@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "exec/flat_hash.h"
 
 namespace rox {
 
@@ -107,89 +106,6 @@ ResultTable ResultTable::SortRows(std::span<const size_t> key_cols) const {
   return SelectRows(order);
 }
 
-std::vector<Pre> ResultTable::DistinctColumn(size_t col) const {
-  // Hash-based dedup first: distinct nodes are typically far fewer than
-  // rows, so sorting only the distinct set beats sorting the column.
-  FlatRunMap<Pre, kInvalidPre> seen;
-  seen.Reset(cols_[col].size());
-  std::vector<Pre> out;
-  for (Pre p : cols_[col]) {
-    auto& slot = seen.FindOrInsert(p);
-    if (slot.b == 0) {
-      slot.b = 1;
-      out.push_back(p);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-ResultTable JoinTablesWithPairs(const ResultTable& outer,
-                                const JoinPairs& pairs,
-                                const ResultTable& inner, size_t inner_col) {
-  // CSR index of the inner join column: node -> contiguous row-id run.
-  const std::vector<Pre>& icol = inner.Col(inner_col);
-  ValueRuns vr = BuildValueRuns(icol.size(), [&](uint32_t r) { return icol[r]; });
-
-  // Expand pairs into aligned (outer row, inner row) index lists.
-  std::vector<uint32_t> orows, irows;
-  orows.reserve(pairs.size());
-  irows.reserve(pairs.size());
-  for (uint64_t k = 0; k < pairs.size(); ++k) {
-    const auto* run = vr.Find(pairs.right_nodes[k]);
-    if (run == nullptr) continue;
-    for (uint32_t j = 0; j < run->b; ++j) {
-      orows.push_back(pairs.left_rows[k]);
-      irows.push_back(vr.row_ids[run->a + j]);
-    }
-  }
-
-  // Column-wise gather.
-  ResultTable out(outer.NumCols() + inner.NumCols());
-  for (size_t c = 0; c < outer.NumCols(); ++c) {
-    const std::vector<Pre>& src = outer.Col(c);
-    std::vector<Pre>& dst = out.MutableCol(c);
-    dst.resize(orows.size());
-    for (size_t k = 0; k < orows.size(); ++k) dst[k] = src[orows[k]];
-  }
-  for (size_t c = 0; c < inner.NumCols(); ++c) {
-    const std::vector<Pre>& src = inner.Col(c);
-    std::vector<Pre>& dst = out.MutableCol(outer.NumCols() + c);
-    dst.resize(irows.size());
-    for (size_t k = 0; k < irows.size(); ++k) dst[k] = src[irows[k]];
-  }
-  return out;
-}
-
-JoinPairs ExpandPairsOverColumn(const JoinPairs& pairs,
-                                const std::vector<Pre>& distinct_nodes,
-                                const std::vector<Pre>& column) {
-  // Runs of consecutive equal left rows -> (first pair index, length),
-  // keyed by the context node (distinct, so each key inserts once).
-  FlatRunMap<Pre, kInvalidPre> runs;
-  runs.Reset(distinct_nodes.size());
-  for (uint32_t k = 0; k < pairs.size();) {
-    uint32_t start = k;
-    uint32_t left = pairs.left_rows[k];
-    while (k < pairs.size() && pairs.left_rows[k] == left) ++k;
-    auto& slot = runs.FindOrInsert(distinct_nodes[left]);
-    slot.a = start;
-    slot.b = k - start;
-  }
-  JoinPairs out;
-  for (uint32_t r = 0; r < column.size(); ++r) {
-    const auto* run = runs.Find(column[r]);
-    if (run == nullptr) continue;
-    for (uint32_t j = 0; j < run->b; ++j) {
-      out.left_rows.push_back(r);
-      out.right_nodes.push_back(pairs.right_nodes[run->a + j]);
-    }
-  }
-  out.truncated = pairs.truncated;
-  out.outer_consumed = column.size();
-  return out;
-}
-
 ResultTable CartesianProduct(const ResultTable& a, const ResultTable& b) {
   ResultTable out(a.NumCols() + b.NumCols());
   uint64_t na = a.NumRows(), nb = b.NumRows();
@@ -207,21 +123,6 @@ ResultTable CartesianProduct(const ResultTable& a, const ResultTable& b) {
       dst.insert(dst.end(), b.Col(c).begin(), b.Col(c).end());
     }
   }
-  return out;
-}
-
-ResultTable ExtendTableWithPairs(const ResultTable& outer,
-                                 const JoinPairs& pairs) {
-  ResultTable out(outer.NumCols() + 1);
-  for (size_t c = 0; c < outer.NumCols(); ++c) {
-    const std::vector<Pre>& src = outer.Col(c);
-    std::vector<Pre>& dst = out.MutableCol(c);
-    dst.resize(pairs.size());
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      dst[k] = src[pairs.left_rows[k]];
-    }
-  }
-  out.MutableCol(outer.NumCols()) = pairs.right_nodes;
   return out;
 }
 

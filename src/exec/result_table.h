@@ -1,11 +1,11 @@
 // Row-aligned, column-major tables of node identifiers.
 //
-// ROX materializes intermediate results fully (§1.1); a ResultTable is
-// one such intermediate: each column corresponds to a Join Graph vertex
-// already joined into this component, each row to one combination of
-// nodes satisfying all executed edges between those vertices. The tail
-// operators of §2.1 (projection, distinct, document-order sort) also
-// operate on ResultTables.
+// A ResultTable is a gathered relation: each column corresponds to a
+// Join Graph vertex, each row to one combination of nodes satisfying
+// the executed edges between those vertices. ROX keeps its
+// intermediates as ResultViews (exec/result_view.h) and gathers them
+// into a ResultTable once, for the plan tail of §2.1 (projection,
+// distinct, document-order sort), which operates on ResultTables.
 
 #ifndef ROX_EXEC_RESULT_TABLE_H_
 #define ROX_EXEC_RESULT_TABLE_H_
@@ -16,20 +16,18 @@
 #include <vector>
 
 #include "exec/flat_hash.h"
-#include "exec/join_result.h"
 #include "xml/node.h"
 
 namespace rox {
 
 // CSR grouping of a node column: node -> (offset, length) run into
 // `row_ids`, the row indices grouped per node in ascending row order.
-// Every pair-expansion site (eager and lazy table joins, both final
-// assemblies) shares this construction, so the row order they emit is
-// identical — the invariant behind the lazy/eager byte-identity
-// guarantee (DESIGN.md §8). Backed by a flat open-addressing map
-// (exec/flat_hash.h): the former std::unordered_map was the top
-// profile entry of the assembly path (one node allocation per distinct
-// value plus a destructor walk per rebuild).
+// The pair-expansion sites (JoinViewsWithPairs and the final assembly)
+// share this construction, so the row order they emit is the same.
+// Backed by a flat open-addressing map (exec/flat_hash.h): the former
+// std::unordered_map was the top profile entry of the assembly path
+// (one node allocation per distinct value plus a destructor walk per
+// rebuild).
 struct ValueRuns {
   FlatRunMap<Pre, kInvalidPre> runs;  // a = offset, b = length
   std::vector<uint32_t> row_ids;
@@ -97,40 +95,9 @@ class ResultTable {
   // document (pre) order — the τ numbering operator of the plan tail.
   ResultTable SortRows(std::span<const size_t> key_cols) const;
 
-  // Sorted, duplicate-free nodes of column `col` — the semi-join-reduced
-  // vertex table T(v) after an edge execution.
-  std::vector<Pre> DistinctColumn(size_t col) const;
-
  private:
   std::vector<std::vector<Pre>> cols_;
 };
-
-// Combines `outer` and `inner` through join `pairs`, where
-// pairs.left_rows index rows of `outer` and pairs.right_nodes must match
-// the values of column `inner_col` of `inner`. The output has the
-// columns of `outer` followed by the columns of `inner` and one row per
-// (pair, matching inner row). This is the expansion step that turns a
-// node-level join result into a component-level join result.
-ResultTable JoinTablesWithPairs(const ResultTable& outer,
-                                const JoinPairs& pairs,
-                                const ResultTable& inner, size_t inner_col);
-
-// Extends `outer` with a single new column: one output row per pair,
-// copying the outer row and appending the matched node. Used when the
-// edge's far vertex is not yet part of any component.
-ResultTable ExtendTableWithPairs(const ResultTable& outer,
-                                 const JoinPairs& pairs);
-
-// Re-expresses `pairs` — whose left_rows index `distinct_nodes` and
-// must be grouped by left row (as all pair-producing joins emit) —
-// against `column`, a node column containing those nodes with
-// duplicates: emits (r, s) for every column row r and pair (i, s) with
-// distinct_nodes[i] == column[r]. Rows whose node produced no pairs
-// are dropped (semi-join semantics). Lets an operator run once per
-// distinct node and still join against a materialized component.
-JoinPairs ExpandPairsOverColumn(const JoinPairs& pairs,
-                                const std::vector<Pre>& distinct_nodes,
-                                const std::vector<Pre>& column);
 
 // Full cross product: |a|·|b| rows with a's columns followed by b's.
 // Used to combine the results of disconnected Join Graph components

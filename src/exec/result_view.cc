@@ -132,9 +132,7 @@ ResultView JoinViewsWithPairs(const ResultView& outer, const JoinPairs& pairs,
                               ColumnArena& arena,
                               const std::vector<bool>* live_outer,
                               const std::vector<bool>* live_inner) {
-  // CSR index of the inner join column (shared construction with the
-  // eager JoinTablesWithPairs, so the emitted row expansion is
-  // identical).
+  // CSR index of the inner join column: node -> contiguous row-id run.
   ValueRuns vr = BuildValueRuns(
       inner.NumRows(), [&](uint32_t r) { return inner.At(inner_col, r); });
 

@@ -1,12 +1,11 @@
 // Late-materialization views over node columns (DESIGN.md §8).
 //
-// ROX materializes every intermediate fully (§1.1); the seed engine
-// realized that with ResultTable, copying every live column at every
-// edge execution and assembly join. A ResultView is the deferred form:
-// each logical column is a (base column, selection vector) pair — the
-// value of row r in column c is base_c[sel_c[r]] — so combining
-// results appends/composes selection vectors instead of copying node
-// data, and full row gather happens once, at the plan tail.
+// ROX materializes every intermediate fully (§1.1). Here each one is
+// a ResultView: each logical column is a (base column, selection
+// vector) pair — the value of row r in column c is base_c[sel_c[r]] —
+// so combining results appends/composes selection vectors instead of
+// copying node data, and full row gather happens once, at the plan
+// tail.
 //
 // Representation invariants:
 //  * At most ONE level of indirection: composing a view with a new row
@@ -25,9 +24,9 @@
 //    programming error.
 //
 // All base/selection storage is borrowed: from the per-query
-// ColumnArena, from an EdgeState's materialized pair result, or from a
-// vertex table. The owner must outlive the view; within one ROX run
-// the RoxState (which owns the arena) guarantees that.
+// ColumnArena or from a materialized ResultTable (FromTable). The owner
+// must outlive the view; within one ROX run the RoxState (which owns
+// the arena) guarantees that.
 
 #ifndef ROX_EXEC_RESULT_VIEW_H_
 #define ROX_EXEC_RESULT_VIEW_H_
@@ -96,8 +95,8 @@ class ResultView {
   // Full materialization of all (live) columns.
   ResultTable Gather(GatherStats* stats) const;
 
-  // Sorted duplicate-free nodes of column `c` — byte-identical to
-  // ResultTable::DistinctColumn on the gathered table.
+  // Sorted, duplicate-free nodes of column `c` — the semi-join-reduced
+  // vertex table T(v) after an edge execution.
   std::vector<Pre> DistinctColumn(size_t c) const;
 
  private:
@@ -115,23 +114,23 @@ ResultView ComposeRows(const ResultView& v, std::span<const uint32_t> rows,
                        ColumnArena& arena,
                        const std::vector<bool>* live = nullptr);
 
-// View analogue of ResultTable::SelectRows: copies `rows` into the
-// arena first, so any caller-owned row list works.
+// ComposeRows over a caller-owned row list (ResultTable::SelectRows on
+// a view): copies `rows` into the arena first.
 ResultView SelectRowsView(const ResultView& v,
                           std::span<const uint32_t> rows, ColumnArena& arena,
                           const std::vector<bool>* live = nullptr);
 
-// View analogue of ExtendTableWithPairs: outer's columns re-rowed
-// through pairs.left_rows plus one new direct column holding
-// pairs.right_nodes. Consumes the pair arrays (zero-copy adoption).
+// Extends `outer` by one column: outer's columns re-rowed through
+// pairs.left_rows plus one new direct column holding pairs.right_nodes
+// (one output row per pair). Used when the far vertex of a join is not
+// yet part of the view. Consumes the pair arrays (zero-copy adoption).
 ResultView ExtendViewWithPairs(const ResultView& outer, JoinPairs&& pairs,
                                ColumnArena& arena);
 
-// View analogue of JoinTablesWithPairs: combines `outer` and `inner`
-// through join `pairs` (left_rows index outer rows, right_nodes match
-// values of inner column `inner_col`), outer's columns first. The
-// emitted (outer row, inner row) expansion matches the eager operator
-// exactly, so gathered output is byte-identical. `live_outer` /
+// Combines `outer` and `inner` through join `pairs` (left_rows index
+// outer rows, right_nodes match values of inner column `inner_col`),
+// outer's columns first: one output row per (pair, matching inner
+// row), in pair order, matching inner rows ascending. `live_outer` /
 // `live_inner`, when non-null, mark the columns worth keeping (the
 // assembly's dead-column elision); `inner_col` itself is always read.
 ResultView JoinViewsWithPairs(const ResultView& outer, const JoinPairs& pairs,

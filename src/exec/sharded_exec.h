@@ -69,11 +69,11 @@ struct ShardFanoutStats {
 };
 
 // Un-merged fan-out output: one JoinPairs per lane (shard or chunk),
-// in input order, plus each lane's input-row offset. The lazy executor
-// consumes the parts directly — flattening them once into arena-backed
-// view columns with the offsets applied — instead of paying a merge
-// copy followed by a gather copy. `Merged()` recovers the sequential
-// operator's byte-identical JoinPairs for eager consumers.
+// in input order, plus each lane's input-row offset. ROX consumes the
+// parts directly — flattening them once into arena-backed view columns
+// with the offsets applied — instead of paying a merge copy followed
+// by a gather copy. `Merged()` recovers the sequential operator's
+// byte-identical JoinPairs for callers that want one pair list.
 struct ShardedJoinParts {
   std::vector<JoinPairs> parts;
   std::vector<uint32_t> offsets;  // input-row offset per lane
@@ -102,7 +102,7 @@ struct ShardedJoinParts {
 // lane outputs are merged as usual; callers re-check the token before
 // consuming the merge (DESIGN.md §13).
 //
-// The probe-side fan-outs take a PreColumn, so a lazy ResultView column
+// The probe-side fan-outs take a PreColumn, so a ResultView column
 // feeds the lanes without an intermediate gather (each lane probes a
 // positional Sub slice); a span or vector converts implicitly.
 ShardedJoinParts ShardedStructuralJoinParts(
@@ -145,8 +145,9 @@ ShardedJoinParts ShardedSortThetaJoinParts(
     std::span<const Pre> inner, CmpOp op, ShardFanoutStats* stats,
     const CancellationToken* cancel = nullptr);
 
-// Merged (eager) wrappers over the Parts functions. A single-lane
-// fallback returns the lane's pairs directly, without a merge copy.
+// Merged wrappers over the Parts functions (the classical executor's
+// entry points). A single-lane fallback returns the lane's pairs
+// directly, without a merge copy.
 JoinPairs ShardedStructuralJoinPairs(
     const ShardedExec* ex, DocId ctx_doc, const Document& target_doc,
     std::span<const Pre> context, const StepSpec& step,

@@ -72,8 +72,8 @@ JoinPairs StructuralJoinPairs(const Document& doc,
 // Allocation-free variant: clears and refills `out`, reusing its
 // buffers' capacity. Hot callers (the sampled-execution loops) keep one
 // scratch JoinPairs alive across calls instead of allocating per probe.
-// `context` may be a lazy view column (a selection vector), so lazy
-// views join without a gather.
+// `context` may be a view column (a selection vector), so views join
+// without a gather.
 void StructuralJoinPairsInto(const Document& doc, const PreColumn& context,
                              const StepSpec& step, uint64_t limit,
                              const ElementIndex* index, JoinPairs& out,

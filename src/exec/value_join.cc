@@ -427,11 +427,19 @@ JoinPairs MergeValueJoinPairs(const Document& outer_doc,
                               const CancellationToken* cancel) {
   JoinPairs out;
   out.Reserve(std::max(outer_sorted.size(), inner_sorted.size()));
-  // Polled on advance steps and on output growth: equal-value groups
-  // cross-product, so either side alone can run away.
+  // Polled once per kCancelCheckRows advance steps and whenever the
+  // output crosses a kCancelCheckRows boundary (as BatchEmitter polls):
+  // equal-value groups cross-product, so either side alone can run
+  // away.
   uint64_t steps = 0;
+  uint64_t next_output_poll = kCancelCheckRows;
   auto tripped = [&]() -> bool {
-    if (!(CancelCheckDue(++steps) && StopRequested(cancel))) return false;
+    bool due = CancelCheckDue(++steps);
+    if (out.size() >= next_output_poll) {
+      next_output_poll = (out.size() / kCancelCheckRows + 1) * kCancelCheckRows;
+      due = true;
+    }
+    if (!(due && StopRequested(cancel))) return false;
     out.truncated = true;
     return true;
   };

@@ -76,7 +76,7 @@ JoinPairs ValueIndexJoinPairs(const Document& outer_doc,
 
 // Allocation-free variant: clears and refills `out`, reusing its
 // buffers' capacity (see StructuralJoinPairsInto). `outer` may be a
-// lazy view column, so lazy views probe without a gather.
+// view column (a selection vector), so views probe without a gather.
 void ValueIndexJoinPairsInto(const Document& outer_doc,
                              const PreColumn& outer,
                              const Document& inner_doc,
@@ -120,7 +120,7 @@ class ValueHashTable {
                   const CancellationToken* cancel = nullptr) const;
 
   // Allocation-free probe into a caller-reused buffer. `outer` may be a
-  // lazy view column (a selection vector).
+  // view column (a selection vector).
   void ProbeInto(const Document& outer_doc, const PreColumn& outer,
                  JoinPairs& out,
                  const CancellationToken* cancel = nullptr) const;

@@ -19,7 +19,7 @@
 //         edge                one per full edge execution
 //           resample          (full) re-weigh events, children of edge
 //         assembly            Yannakakis-style final assembly
-//       gather                terminal column gather (lazy runs)
+//       gather                terminal column gather
 //       plan_tail             project/distinct/sort/project
 //
 // Ownership and threading: a trace belongs to exactly one query and is
@@ -153,9 +153,7 @@ class ScopedSpan {
       : trace_(trace != nullptr && trace->spans_enabled() ? trace : nullptr) {
     if (trace_ != nullptr) id_ = trace_->BeginSpan(name, std::move(detail));
   }
-  ~ScopedSpan() {
-    if (trace_ != nullptr) trace_->EndSpan(id_);
-  }
+  ~ScopedSpan() { End(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -167,6 +165,14 @@ class ScopedSpan {
   }
   void AttrStr(const char* key, std::string value) {
     if (trace_ != nullptr) trace_->AttrStr(id_, key, std::move(value));
+  }
+
+  // Ends the span now, ahead of scope exit — for early returns that
+  // close the parent span before this one would go out of scope. Later
+  // calls, attributes and the destructor do nothing.
+  void End() {
+    if (trace_ != nullptr) trace_->EndSpan(id_);
+    trace_ = nullptr;
   }
 
  private:

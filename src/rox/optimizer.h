@@ -76,7 +76,7 @@ struct RoxResult {
   std::vector<std::pair<VertexId, size_t>> column_index_;
 };
 
-// Outcome of a lazy ROX run: the fully joined relation as an
+// Outcome of RunView: the fully joined relation as an
 // un-gathered view over optimizer-owned storage (DESIGN.md §8). The
 // view stays valid until the optimizer is destroyed or Run/RunView is
 // called again; columns of vertices outside the requested output set
@@ -96,12 +96,11 @@ class RoxOptimizer {
   RoxOptimizer(CorpusSnapshot snapshot, const JoinGraph& graph,
                RoxOptions options = {});
 
-  // Runs the full optimize-and-execute loop. Under lazy materialization
-  // (the default) the final relation is assembled as views and gathered
-  // once here; results are byte-identical to the eager path.
+  // Runs the full optimize-and-execute loop. The final relation is
+  // assembled as views and gathered once here.
   Result<RoxResult> Run();
 
-  // Lazy-only: like Run() but stops before the terminal gather —
+  // Like Run() but stops before the terminal gather —
   // `output_vertices` are the vertices whose columns the caller will
   // read. The caller gathers exactly what it needs (e.g. the plan
   // tail's for-variable columns) and nothing else ever materializes.

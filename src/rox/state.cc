@@ -24,7 +24,7 @@ RoxState::RoxState(CorpusSnapshot snapshot, const JoinGraph& graph,
       rng_(options.seed),
       vertices_(graph.VertexCount()),
       edges_(graph.EdgeCount()) {
-  // Arena reservations (lazy views, assembly intermediates) count
+  // Arena reservations (edge views, assembly intermediates) count
   // against the query's budget; the latch surfaces at the next token
   // checkpoint (DESIGN.md §13).
   arena_.set_budget(options_.budget);
@@ -537,45 +537,31 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
   const Vertex& tx = graph_.vertex(tgt);
   const Document& target_doc = corpus_.doc(tx.doc);
   const Document& ctx_doc = corpus_.doc(graph_.vertex(ctx).doc);
-  const bool lazy = options_.lazy_materialization;
   const size_t ctx_col = (ctx == v1) ? 0 : 1;
 
-  // Shared tail of both representations. Lazy: filter each lane, adopt
-  // the context table as an arena base column (zero-copy; the vertex
-  // table is about to be replaced by the semi-join reduction anyway)
-  // and flatten the lanes into a view. Eager: merge the lanes (the
-  // pre-view code path, byte- and cost-identical) and row-copy R_e.
-  auto finish = [&](ShardedJoinParts&& parts) -> Status {
-    if (lazy) {
-      for (JoinPairs& p : parts.parts) FilterPairsForVertex(tgt, p);
-      std::span<const Pre> ctx_base =
-          arena_.Adopt(std::move(*vertices_[ctx].table));
-      vertices_[ctx].table.reset();
-      StoreLazyResult(e, ctx_base, ctx_col, std::move(parts));
-    } else {
-      JoinPairs pairs = std::move(parts).Merged();
-      FilterPairsForVertex(tgt, pairs);
-      // Materialize R_e with columns oriented (v1, v2).
-      ResultTable r(2);
-      std::vector<Pre>& ccol = r.MutableCol(ctx_col);
-      ccol.resize(pairs.size());
-      for (size_t k = 0; k < pairs.size(); ++k) {
-        ccol[k] = ctx_nodes[pairs.left_rows[k]];
-      }
-      r.MutableCol(1 - ctx_col) = std::move(pairs.right_nodes);
-      edges_[e].result = std::move(r);
-      if (options_.budget != nullptr) {
-        options_.budget->Charge(edges_[e].ResultRows() * 2 * sizeof(Pre));
-      }
-    }
+  // Drops pairs whose target node is outside T(tgt) or fails its
+  // predicate, stores R_e as a view whose context column selects from
+  // `ctx_base`, then reports a trip: a kernel that tripped mid-emission
+  // stored a partial R_e through the truncation protocol, and the edge
+  // must never be marked executed with partial pairs.
+  auto store = [&](std::span<const Pre> ctx_base,
+                   ShardedJoinParts&& parts) -> Status {
+    for (JoinPairs& p : parts.parts) FilterPairsForVertex(tgt, p);
+    StoreResult(e, ctx_base, ctx_col, std::move(parts));
     RecordIntermediate(edges_[e].ResultRows());
-    // A kernel that tripped mid-emission stored a partial R_e through
-    // the truncation protocol: report the trip here so the edge is
-    // never marked executed with partial pairs.
     if (options_.cancel != nullptr) {
       ROX_RETURN_IF_ERROR(options_.cancel->Check());
     }
     return Status::Ok();
+  };
+  // The kernels that probe with the context table: adopt it as the
+  // context column's base (zero-copy; the vertex table is about to be
+  // replaced by the semi-join reduction anyway).
+  auto finish = [&](ShardedJoinParts&& parts) -> Status {
+    std::span<const Pre> ctx_base =
+        arena_.Adopt(std::move(*vertices_[ctx].table));
+    vertices_[ctx].table.reset();
+    return store(ctx_base, std::move(parts));
   };
 
   if (edge.type == EdgeType::kStep) {
@@ -592,10 +578,9 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
     // Theta edge: probe the target's sorted run per context row. A
     // materialized (semi-join-reduced) target table builds a private
     // run, usually far smaller than the full index projection; an
-    // unmaterialized target probes the index's pre-sorted run and the
-    // FilterPairsForVertex call inside finish() applies its predicate.
-    // Both sources emit identical per-row sequences (value_join.h), so
-    // all execution modes agree byte-for-byte.
+    // unmaterialized target probes the index's pre-sorted run and
+    // store() applies its predicate. Both sources emit identical
+    // per-row sequences (value_join.h).
     if (vertices_[tgt].table.has_value()) {
       last_kernel_ = "theta-run";
       return finish(ShardedSortThetaJoinParts(
@@ -629,41 +614,15 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
         std::vector<Pre> outer_sorted = SortByValueId(ctx_doc, ctx_nodes);
         std::vector<Pre> inner_sorted =
             SortByValueId(target_doc, *vertices_[tgt].table);
-        JoinPairs pairs = MergeValueJoinPairs(ctx_doc, outer_sorted,
-                                              target_doc, inner_sorted,
-                                              options_.cancel);
-        // Re-mapping outer rows back to ctx_nodes positions is
-        // unnecessary: R_e only needs the matched *nodes* on both
-        // sides, so R_e is built against outer_sorted directly.
-        pairs.truncated = false;
-        pairs.outer_consumed = outer_sorted.size();
-        FilterPairsForVertex(tgt, pairs);
-        if (lazy) {
-          std::span<const Pre> base = arena_.Adopt(std::move(outer_sorted));
-          ResultView v(2, pairs.size());
-          v.col(ctx_col) = {
-              base.data(), arena_.Adopt(std::move(pairs.left_rows)).data()};
-          v.col(1 - ctx_col) = {
-              arena_.Adopt(std::move(pairs.right_nodes)).data(), nullptr};
-          edges_[e].view = std::move(v);
-        } else {
-          ResultTable r(2);
-          std::vector<Pre>& ccol = r.MutableCol(ctx_col);
-          ccol.resize(pairs.size());
-          for (size_t k = 0; k < pairs.size(); ++k) {
-            ccol[k] = outer_sorted[pairs.left_rows[k]];
-          }
-          r.MutableCol(1 - ctx_col) = std::move(pairs.right_nodes);
-          edges_[e].result = std::move(r);
-          if (options_.budget != nullptr) {
-            options_.budget->Charge(edges_[e].ResultRows() * 2 * sizeof(Pre));
-          }
-        }
-        RecordIntermediate(edges_[e].ResultRows());
-        if (options_.cancel != nullptr) {
-          ROX_RETURN_IF_ERROR(options_.cancel->Check());
-        }
-        return Status::Ok();
+        ShardedJoinParts parts;
+        parts.parts.push_back(MergeValueJoinPairs(ctx_doc, outer_sorted,
+                                                  target_doc, inner_sorted,
+                                                  options_.cancel));
+        parts.offsets.push_back(0);
+        // R_e only needs the matched *nodes* on both sides, so the
+        // context column is built over outer_sorted directly instead of
+        // re-mapping outer rows back to ctx_nodes positions.
+        return store(arena_.Adopt(std::move(outer_sorted)), std::move(parts));
       }
       case EquiAlgo::kIndexNl:
         last_kernel_ = "index-nl";
@@ -680,14 +639,13 @@ Status RoxState::ExecuteEdgeInternal(EdgeId e) {
   ValueProbeSpec spec = tx.type == VertexType::kAttribute
                             ? ValueProbeSpec::Attr(tx.name)
                             : ValueProbeSpec::Text();
-  return finish(ShardedValueIndexJoinParts(Sharded(), ctx_doc, ctx_nodes,
-                                           target_doc,
-                                           corpus_.value_index(tx.doc), spec,
-                                           &stats_.sharded, options_.cancel));
+  return finish(ShardedValueIndexJoinParts(
+      Sharded(), ctx_doc, ctx_nodes, target_doc, corpus_.value_index(tx.doc),
+      spec, &stats_.sharded, options_.cancel));
 }
 
-void RoxState::StoreLazyResult(EdgeId e, std::span<const Pre> ctx_base,
-                               size_t ctx_col, ShardedJoinParts&& parts) {
+void RoxState::StoreResult(EdgeId e, std::span<const Pre> ctx_base,
+                           size_t ctx_col, ShardedJoinParts&& parts) {
   uint64_t total = parts.size();
   ResultView v(2, total);
   size_t tgt_col = 1 - ctx_col;
@@ -700,8 +658,7 @@ void RoxState::StoreLazyResult(EdgeId e, std::span<const Pre> ctx_base,
                       nullptr};
   } else {
     // Multi-lane fan-out: flatten once into arena columns, applying the
-    // lane offsets on the fly (the "offset-adjusted view" merge; the
-    // eager path instead merges into a JoinPairs and then row-copies).
+    // lane offsets on the fly (the "offset-adjusted view" merge).
     std::span<uint32_t> sel = arena_.Alloc(total);
     std::span<uint32_t> base = arena_.Alloc(total);
     uint64_t w = 0;
@@ -731,14 +688,12 @@ void RoxState::UpdateAfterExecution(EdgeId e) {
 
   // Semi-join-reduce the endpoint tables to the surviving nodes and
   // refresh card/sample (Algorithm 1, lines 14-17). DistinctColumn
-  // hashes either representation without a row gather.
+  // reads the view without a row gather.
   if (edges_[e].HasResult()) {
     VertexId vs[2] = {edge.v1, edge.v2};
     for (int side = 0; side < 2; ++side) {
       VertexState& v = vertices_[vs[side]];
-      v.table = edges_[e].view.has_value()
-                    ? edges_[e].view->DistinctColumn(side)
-                    : edges_[e].result->DistinctColumn(side);
+      v.table = edges_[e].view->DistinctColumn(side);
       v.card = static_cast<double>(v.table->size());
       std::vector<uint64_t> idx =
           rng_.SampleWithoutReplacement(v.table->size(), options_.tau);
@@ -894,164 +849,24 @@ RoxState::EquiAlgo RoxState::ChooseEquiAlgorithm(EdgeId e, VertexId ctx) {
 // --- final assembly -------------------------------------------------------------
 
 Result<ResultTable> RoxState::AssembleFinal(std::vector<VertexId>* columns) {
-  if (options_.lazy_materialization) {
-    // Assemble as views, then gather every column once — the single
-    // terminal materialization. With all vertices marked as output,
-    // no column is elided, so the gathered table is byte-identical to
-    // the eager assembly's.
-    std::vector<VertexId> all(graph_.VertexCount());
-    std::iota(all.begin(), all.end(), 0);
-    ROX_ASSIGN_OR_RETURN(ResultView view, AssembleFinalView(columns, all));
-    ScopedTimer timer(stats_.execution_time);
-    ScopedTimer assembly_timer(stats_.assembly_time);
-    return view.Gather(&stats_.gather);
-  }
+  // Assemble as views, then gather every column once — the single
+  // terminal materialization. With all vertices marked as output, no
+  // column is elided.
+  std::vector<VertexId> all(graph_.VertexCount());
+  std::iota(all.begin(), all.end(), 0);
+  ROX_ASSIGN_OR_RETURN(ResultView view, AssembleFinalView(columns, all));
   ScopedTimer timer(stats_.execution_time);
   ScopedTimer assembly_timer(stats_.assembly_time);
-
-  // Edges with materialized pair results, cheapest first.
-  std::vector<EdgeId> order;
-  for (EdgeId e = 0; e < graph_.EdgeCount(); ++e) {
-    if (edges_[e].result.has_value()) order.push_back(e);
-  }
-  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return edges_[a].result->NumRows() < edges_[b].result->NumRows();
-  });
-
-  struct Comp {
-    std::vector<VertexId> members;
-    ResultTable table;
-    bool active = true;
-  };
-  std::vector<Comp> comps;
-  // vertex -> (component, column) or (-1, 0).
-  std::vector<std::pair<int, size_t>> where(graph_.VertexCount(), {-1, 0});
-
-  // Deferred edges that closed cycles before both sides were assembled
-  // never happen: an edge merges or filters immediately.
-  for (EdgeId e : order) {
-    if (options_.cancel != nullptr) {
-      ROX_RETURN_IF_ERROR(options_.cancel->Check());
-    }
-    const Edge& edge = graph_.edge(e);
-    const ResultTable& r = *edges_[e].result;
-    auto [c1, col1] = where[edge.v1];
-    auto [c2, col2] = where[edge.v2];
-
-    // Pair lookup keyed by v1 node -> run of v2 nodes (CSR).
-    auto build_runs = [&](size_t key_col) {
-      const std::vector<Pre>& kcol = r.Col(key_col);
-      return BuildValueRuns(kcol.size(),
-                            [&](uint32_t i) { return kcol[i]; });
-    };
-
-    if (c1 < 0 && c2 < 0) {
-      Comp c;
-      c.members = {edge.v1, edge.v2};
-      c.table = r;
-      where[edge.v1] = {static_cast<int>(comps.size()), 0};
-      where[edge.v2] = {static_cast<int>(comps.size()), 1};
-      comps.push_back(std::move(c));
-      continue;
-    }
-
-    if (c1 >= 0 && c2 >= 0 && c1 == c2) {
-      // Cycle edge: keep rows whose (v1, v2) pair is in R_e.
-      std::unordered_set<uint64_t> pairs;
-      pairs.reserve(r.NumRows());
-      for (uint64_t i = 0; i < r.NumRows(); ++i) {
-        pairs.insert((static_cast<uint64_t>(r.Col(0)[i]) << 32) |
-                     r.Col(1)[i]);
-      }
-      Comp& c = comps[c1];
-      const std::vector<Pre>& a = c.table.Col(col1);
-      const std::vector<Pre>& b = c.table.Col(col2);
-      std::vector<uint32_t> keep;
-      for (uint32_t i = 0; i < a.size(); ++i) {
-        if (pairs.contains((static_cast<uint64_t>(a[i]) << 32) | b[i])) {
-          keep.push_back(i);
-        }
-      }
-      c.table = c.table.SelectRows(keep);
-      RecordIntermediate(c.table.NumRows());
-      continue;
-    }
-
-    // Anchor on the side already assembled (prefer v1's component).
-    VertexId anchor = edge.v1, far = edge.v2;
-    size_t anchor_key = 0, far_key = 1;
-    if (c1 < 0) {
-      anchor = edge.v2;
-      far = edge.v1;
-      anchor_key = 1;
-      far_key = 0;
-    }
-    auto [ca, cola] = where[anchor];
-    auto [runs, ids] = build_runs(anchor_key);
-    Comp& a = comps[ca];
-    JoinPairs jp;
-    {
-      const std::vector<Pre>& acol = a.table.Col(cola);
-      const std::vector<Pre>& fcol = r.Col(far_key);
-      for (uint32_t row = 0; row < acol.size(); ++row) {
-        const auto* run = runs.Find(acol[row]);
-        if (run == nullptr) continue;
-        for (uint32_t j = 0; j < run->b; ++j) {
-          jp.left_rows.push_back(row);
-          jp.right_nodes.push_back(fcol[ids[run->a + j]]);
-        }
-      }
-    }
-
-    auto [cf, colf] = where[far];
-    Comp merged;
-    if (cf < 0) {
-      merged.table = ExtendTableWithPairs(a.table, jp);
-      merged.members = a.members;
-      merged.members.push_back(far);
-      a.active = false;
-    } else {
-      Comp& b = comps[cf];
-      merged.table = JoinTablesWithPairs(a.table, jp, b.table, colf);
-      merged.members = a.members;
-      merged.members.insert(merged.members.end(), b.members.begin(),
-                            b.members.end());
-      a.active = false;
-      b.active = false;
-    }
-    int id = static_cast<int>(comps.size());
-    for (size_t c = 0; c < merged.members.size(); ++c) {
-      where[merged.members[c]] = {id, c};
-    }
-    RecordIntermediate(merged.table.NumRows());
-    comps.push_back(std::move(merged));
-  }
-
-  int active = -1;
-  for (size_t i = 0; i < comps.size(); ++i) {
-    if (!comps[i].active) continue;
-    if (active >= 0) {
-      return Status::FailedPrecondition(
-          "assembly left multiple components (disconnected join graph)");
-    }
-    active = static_cast<int>(i);
-  }
-  if (active < 0) {
-    return Status::FailedPrecondition("nothing to assemble");
-  }
-  if (columns != nullptr) *columns = comps[active].members;
-  return std::move(comps[active].table);
+  return view.Gather(&stats_.gather);
 }
 
 Result<ResultView> RoxState::AssembleFinalView(
     std::vector<VertexId>* columns,
     std::span<const VertexId> output_vertices) {
-  ROX_CHECK(options_.lazy_materialization);
   ScopedTimer timer(stats_.execution_time);
   ScopedTimer assembly_timer(stats_.assembly_time);
 
-  // Edges with pair-result views, cheapest first (the same order the
-  // eager assembly picks, so the emitted row expansions are identical).
+  // Edges with pair-result views, cheapest first.
   std::vector<EdgeId> order;
   for (EdgeId e = 0; e < graph_.EdgeCount(); ++e) {
     if (edges_[e].view.has_value()) order.push_back(e);
@@ -1104,8 +919,7 @@ Result<ResultView> RoxState::AssembleFinalView(
     auto [c1, col1] = where[edge.v1];
     auto [c2, col2] = where[edge.v2];
 
-    // Pair lookup keyed by key-column node -> run of pair indexes (CSR;
-    // same construction as the eager assembly).
+    // Pair lookup keyed by key-column node -> run of pair indexes (CSR).
     auto build_runs = [&](size_t key_col) {
       return BuildValueRuns(r.NumRows(),
                             [&](uint32_t i) { return r.At(key_col, i); });

@@ -370,7 +370,6 @@ Result<std::vector<Pre>> RunXQuery(CorpusSnapshot snapshot,
   std::vector<VertexId> combined_cols;  // original vertex ids
   RoxStats stats;
   GatherStats tail_gather;
-  const bool lazy = rox_options.lazy_materialization;
   bool first = true;
   size_t comp_index = 0;
   for (const GraphComponent& comp : comps) {
@@ -398,27 +397,23 @@ Result<std::vector<Pre>> RunXQuery(CorpusSnapshot snapshot,
     obs::ScopedSpan comp_span(comp_options.query_trace, "rox",
                               StrCat("component ", comp_index++));
     RoxOptimizer rox(snapshot, comp.graph, comp_options);
-    ResultTable part;
-    std::vector<VertexId> cols;
-    std::vector<double> learned_weights;
-    if (lazy) {
-      // Late materialization: only the for-variable columns are ever
-      // read downstream (the plan tail), so only they are requested as
-      // output and gathered — every other column of the assembled
-      // relation stays an un-materialized view. local_out follows
-      // for-variable declaration order, so for a single-component
-      // query the gathered table already IS the projected plan-tail
-      // input.
-      std::vector<VertexId> local_out;
-      for (VertexId fv : compiled.for_vertices) {
-        for (VertexId lv = 0; lv < comp.graph.VertexCount(); ++lv) {
-          if (comp.orig_vertex[lv] == fv) local_out.push_back(lv);
-        }
+    // Late materialization: only the for-variable columns are ever read
+    // downstream (the plan tail), so only they are requested as output
+    // and gathered — every other column of the assembled relation stays
+    // an un-materialized view. local_out follows for-variable
+    // declaration order, so for a single-component query the gathered
+    // table already IS the projected plan-tail input.
+    std::vector<VertexId> local_out;
+    for (VertexId fv : compiled.for_vertices) {
+      for (VertexId lv = 0; lv < comp.graph.VertexCount(); ++lv) {
+        if (comp.orig_vertex[lv] == fv) local_out.push_back(lv);
       }
-      ROX_ASSIGN_OR_RETURN(RoxViewResult vr, rox.RunView(local_out));
-      learned_weights = std::move(vr.final_edge_weights);
-      MergeStats(stats, vr.stats);
-      part = ResultTable(local_out.size());
+    }
+    ROX_ASSIGN_OR_RETURN(RoxViewResult vr, rox.RunView(local_out));
+    MergeStats(stats, vr.stats);
+    ResultTable part(local_out.size());
+    std::vector<VertexId> cols;
+    {
       uint64_t bytes_before = tail_gather.bytes_gathered;
       obs::ScopedSpan gather_span(comp_options.query_trace, "gather");
       for (size_t i = 0; i < local_out.size(); ++i) {
@@ -440,12 +435,6 @@ Result<std::vector<Pre>> RunXQuery(CorpusSnapshot snapshot,
         gather_span.AttrNum("arena_bytes",
                             static_cast<double>(vr.stats.arena_bytes));
       }
-    } else {
-      ROX_ASSIGN_OR_RETURN(RoxResult result, rox.Run());
-      learned_weights = std::move(result.final_edge_weights);
-      MergeStats(stats, result.stats);
-      part = std::move(result.table);
-      for (VertexId v : result.columns) cols.push_back(comp.orig_vertex[v]);
     }
     if (comp_span.armed()) {
       comp_span.AttrNum("edges_executed",
@@ -456,7 +445,7 @@ Result<std::vector<Pre>> RunXQuery(CorpusSnapshot snapshot,
     }
     if (learned_weights_out != nullptr) {
       for (EdgeId e = 0; e < comp.orig_edge.size(); ++e) {
-        (*learned_weights_out)[comp.orig_edge[e]] = learned_weights[e];
+        (*learned_weights_out)[comp.orig_edge[e]] = vr.final_edge_weights[e];
       }
     }
     if (first) {
@@ -493,8 +482,8 @@ Result<std::vector<Pre>> RunXQuery(CorpusSnapshot snapshot,
     if (v == compiled.return_vertex) return_col_in_proj = i;
     for_cols.push_back(col);
   }
-  // A lazy single-component run already gathered exactly the
-  // for-variable columns in declaration order — skip the copy.
+  // A single-component run already gathered exactly the for-variable
+  // columns in declaration order — skip the copy.
   bool identity_projection = for_cols.size() == combined.NumCols();
   for (size_t i = 0; identity_projection && i < for_cols.size(); ++i) {
     identity_projection = for_cols[i] == i;

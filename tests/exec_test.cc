@@ -9,7 +9,9 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "exec/column_arena.h"
 #include "exec/result_table.h"
+#include "exec/result_view.h"
 #include "exec/structural_join.h"
 #include "exec/value_join.h"
 #include "index/corpus.h"
@@ -377,15 +379,8 @@ TEST(ResultTableTest, SortRowsLexicographic) {
   EXPECT_EQ(s.Col(1)[2], 1u);
 }
 
-TEST(ResultTableTest, DistinctColumn) {
-  ResultTable t(1);
-  t.AppendRow(std::vector<Pre>{5});
-  t.AppendRow(std::vector<Pre>{3});
-  t.AppendRow(std::vector<Pre>{5});
-  auto d = t.DistinctColumn(0);
-  EXPECT_EQ(d, (std::vector<Pre>{3, 5}));
-}
-
+// Joining two tables goes through their views: JoinViewsWithPairs and
+// ExtendViewWithPairs over ResultView::FromTable, then one Gather.
 TEST(ResultTableTest, JoinTablesWithPairs) {
   // outer: rows over col X; inner: rows over cols (Y, Z).
   ResultTable outer = ResultTable::FromColumn({10, 20});
@@ -396,7 +391,11 @@ TEST(ResultTableTest, JoinTablesWithPairs) {
   JoinPairs pairs;
   pairs.left_rows = {0, 1};
   pairs.right_nodes = {7, 8};  // match on inner col 0
-  ResultTable out = JoinTablesWithPairs(outer, pairs, inner, 0);
+  ColumnArena arena;
+  ResultTable out =
+      JoinViewsWithPairs(ResultView::FromTable(outer), pairs,
+                         ResultView::FromTable(inner), 0, arena)
+          .Gather(nullptr);
   // Row (10,7,100), (10,7,300), (20,8,200).
   EXPECT_EQ(out.NumRows(), 3u);
   EXPECT_EQ(out.NumCols(), 3u);
@@ -408,7 +407,11 @@ TEST(ResultTableTest, ExtendTableWithPairs) {
   JoinPairs pairs;
   pairs.left_rows = {0, 0, 2};
   pairs.right_nodes = {1, 2, 3};
-  ResultTable out = ExtendTableWithPairs(outer, pairs);
+  ColumnArena arena;
+  ResultTable out =
+      ExtendViewWithPairs(ResultView::FromTable(outer), std::move(pairs),
+                          arena)
+          .Gather(nullptr);
   EXPECT_EQ(out.NumRows(), 3u);
   EXPECT_EQ(out.Col(0)[1], 10u);
   EXPECT_EQ(out.Col(1)[2], 3u);

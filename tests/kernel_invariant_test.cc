@@ -408,12 +408,11 @@ using Kernel = std::function<JoinPairs(uint64_t limit,
 // sharp cancellation identity size == outer_consumed * pairs_per_row
 // for uniform-fanout inputs — which fails if a tripped run keeps a
 // partially-emitted row or counts it as consumed. Every kernel polls
-// its token within kCancelCheckRows outer rows; `polls_output` kernels
-// also poll once per kCancelCheckRows produced pairs (the merge join
-// polls per merge step instead).
+// its token within kCancelCheckRows outer rows and once per
+// kCancelCheckRows produced pairs.
 void RunKernelMatrix(const Kernel& run, const JoinPairs& f, size_t outer_n,
                      size_t pairs_per_row, bool has_limit,
-                     const std::string& what, bool polls_output = true) {
+                     const std::string& what) {
   SCOPED_TRACE(what);
   const uint64_t total = f.size();
   if (pairs_per_row > 0) {
@@ -444,8 +443,7 @@ void RunKernelMatrix(const Kernel& run, const JoinPairs& f, size_t outer_n,
   JoinPairs c = run(kNoLimit, &tok);
   SCOPED_TRACE("cancel");
   CheckInvariants(c, outer_n);
-  if (outer_n > kCancelCheckRows ||
-      (polls_output && total > kCancelCheckRows)) {
+  if (outer_n > kCancelCheckRows || total > kCancelCheckRows) {
     EXPECT_TRUE(c.truncated);
   }
   if (c.truncated && pairs_per_row > 0) {
@@ -709,8 +707,7 @@ void RunMergeMatrix(const Fixture& fx, std::span<const Pre> outer,
         return MergeValueJoinPairs(ldoc, os, rdoc, is, c);
       },
       Enumerate(os.size(), EqualCandidates(ldoc, os, ListCandidates(rdoc, is))),
-      os.size(), pairs_per_row, /*has_limit=*/false, what,
-      /*polls_output=*/false);
+      os.size(), pairs_per_row, /*has_limit=*/false, what);
 }
 
 TEST(KernelInvariantTest, Merge) {

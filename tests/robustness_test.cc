@@ -221,22 +221,6 @@ TEST(ExecEdgeCaseTest, EmptyContextInputs) {
   EXPECT_TRUE(d.empty());
 }
 
-TEST(ExecEdgeCaseTest, ExpandPairsOverColumn) {
-  // distinct nodes {10, 20}; pairs: 10 -> {7, 8}, 20 -> {9}.
-  JoinPairs pairs;
-  pairs.left_rows = {0, 0, 1};
-  pairs.right_nodes = {7, 8, 9};
-  std::vector<Pre> distinct = {10, 20};
-  std::vector<Pre> column = {20, 10, 10, 30};
-  JoinPairs out = ExpandPairsOverColumn(pairs, distinct, column);
-  // Row 0 (20) -> 9; rows 1,2 (10) -> 7,8 each; row 3 (30) drops.
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out.left_rows[0], 0u);
-  EXPECT_EQ(out.right_nodes[0], 9u);
-  EXPECT_EQ(out.left_rows[1], 1u);
-  EXPECT_EQ(out.left_rows[3], 2u);
-}
-
 TEST(ExecEdgeCaseTest, CartesianProduct) {
   ResultTable a = ResultTable::FromColumn({1, 2});
   ResultTable b(2);

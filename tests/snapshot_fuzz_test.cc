@@ -1,16 +1,23 @@
 // Randomized differential harness for the epoch-versioned live corpus
-// (DESIGN.md §10), plus the TSan-targeted publish/read race test.
+// (DESIGN.md §10), a generated-query differential against the
+// brute-force query oracle, and the TSan-targeted publish/read race
+// test.
 //
-// The differential suite interleaves AddDocuments/RemoveDocument with
+// The live-corpus suite interleaves AddDocuments/RemoveDocument with
 // concurrent RunBatch over generated XMark-/DBLP-flavored queries;
-// every result must byte-match a fresh single-epoch Engine built from
-// that query's pinned snapshot. The reference engine deliberately runs
-// the *other* materialization mode, a single shard, no cache, and a
-// different optimizer seed, so one comparison covers live-vs-fresh,
-// lazy-vs-eager, sharded-vs-unsharded and seed independence at once.
+// every result, status code included, must match the query oracle
+// (tests/query_oracle.h) evaluated on that query's pinned snapshot.
+// The oracle shares no join graph, ROX state, index, kernel or plan
+// tail with the engine, so one comparison covers live-vs-fresh, cache
+// replay, sharding and the whole execution stack at once.
+//
+// GeneratedQueriesMatchOracle builds random xq::AstQuery values over
+// random documents and renders them to text: the engine parses the
+// text, the oracle evaluates the AST, so the two share no parser.
 //
 // Environment knobs (the CI sanitizer legs raise the iteration count):
-//   ROX_FUZZ_ITERS      iterations per configuration (default 40)
+//   ROX_FUZZ_ITERS      iterations per test or configuration
+//                       (default 40)
 //   ROX_FUZZ_SEED       base seed (default below)
 //   ROX_FUZZ_SEED_FILE  where to record the seed on failure
 //                       (default snapshot_fuzz_seed.txt), so CI can
@@ -21,8 +28,7 @@
 //                       join order / kernels / cardinalities the live
 //                       engine actually took. The live engine runs at
 //                       trace_level=spans throughout, which doubles as
-//                       a differential check that tracing never
-//                       perturbs results.
+//                       a check that tracing never perturbs results.
 
 #include <gtest/gtest.h>
 
@@ -38,9 +44,15 @@
 
 #include "common/escape.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "index/corpus.h"
+#include "index/sharded_corpus.h"
 #include "obs/trace.h"
+#include "tests/query_oracle.h"
+#include "tests/structural_oracle.h"
+#include "xq/compile.h"
+#include "xq/parser.h"
 
 namespace rox {
 namespace {
@@ -189,44 +201,37 @@ std::string MakeQuery(Rng& rng, const NameBook& names) {
 
 // --- the differential harness ----------------------------------------------
 
-struct FuzzConfig {
-  size_t shards;
-  bool lazy;
-};
+// The oracle's answer for `query` on `corpus`; a query that does not
+// parse expects the parser's status.
+Result<std::vector<Pre>> Expected(const Corpus& corpus,
+                                  const std::string& query) {
+  Result<xq::AstQuery> ast = xq::ParseXQuery(query);
+  if (!ast.ok()) return ast.status();
+  return OracleQuery(corpus, *ast);
+}
 
-std::string Describe(const FuzzConfig& cfg, uint64_t iter,
-                     const std::string& query) {
-  return "shards=" + std::to_string(cfg.shards) +
-         " lazy=" + std::to_string(cfg.lazy) +
+std::string Describe(size_t shards, uint64_t iter, const std::string& query) {
+  return "shards=" + std::to_string(shards) +
          " iter=" + std::to_string(iter) + " query=[" + query + "]";
 }
 
-void RunDifferentialFuzz(const FuzzConfig& cfg) {
+std::string Outcome(const Result<std::vector<Pre>>& r) {
+  return r.ok() ? std::to_string(r->size()) + " items" : r.status().ToString();
+}
+
+void RunDifferentialFuzz(size_t shards) {
   const uint64_t seed = EnvU64("ROX_FUZZ_SEED", kDefaultSeed);
   const uint64_t iters = EnvU64("ROX_FUZZ_ITERS", 40);
-  Rng rng(seed ^ (cfg.shards * 0x9e3779b97f4a7c15ULL) ^
-          (cfg.lazy ? 0x1337 : 0));
+  Rng rng(seed ^ (shards * 0x9e3779b97f4a7c15ULL));
 
   engine::EngineOptions live_opts;
   live_opts.num_threads = 4;
-  live_opts.num_shards = cfg.shards;
-  live_opts.lazy_materialization = cfg.lazy;
+  live_opts.num_shards = shards;
   live_opts.rox.tau = 20;
   live_opts.rox.seed = seed;
   // Record spans on every live query: any mismatch dumps the trace,
-  // and running traced against an untraced reference differentially
-  // proves tracing changes no results.
+  // and the oracle comparison proves tracing changes no results.
   live_opts.trace_level = obs::TraceLevel::kSpans;
-
-  // The reference runs everything the live engine does NOT: other
-  // materialization mode, one shard, no cache, fresh seed.
-  engine::EngineOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.num_shards = 1;
-  ref_opts.enable_cache = false;
-  ref_opts.lazy_materialization = !cfg.lazy;
-  ref_opts.rox.lazy_materialization = !cfg.lazy;
-  ref_opts.rox.tau = 20;
 
   NameBook names;
   Corpus corpus;
@@ -247,7 +252,6 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
   // or all-empty batches (both of which would "match" trivially).
   uint64_t ok_results = 0;
   uint64_t nonempty_results = 0;
-  uint64_t error_results = 0;
 
   for (uint64_t iter = 0; iter < iters; ++iter) {
     const size_t batch_size = 4 + rng.Below(4);
@@ -288,45 +292,32 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
     std::vector<engine::QueryResult> results = batch.get();
     ASSERT_EQ(results.size(), queries.size());
 
-    // Differential check: a fresh single-epoch engine per distinct
-    // pinned snapshot must reproduce each result byte-identically.
-    std::map<uint64_t, std::unique_ptr<engine::Engine>> refs;
+    // Every result, status code included, must be the oracle's answer
+    // on the query's pinned snapshot.
     for (size_t i = 0; i < results.size(); ++i) {
       const engine::QueryResult& r = results[i];
       ASSERT_NE(r.snapshot, nullptr);
       ASSERT_EQ(r.snapshot->epoch(), r.epoch);
-      std::unique_ptr<engine::Engine>& ref = refs[r.epoch];
-      if (ref == nullptr) {
-        engine::EngineOptions opts = ref_opts;
-        opts.rox.seed = seed * 7919 + iter * 131 + r.epoch;
-        ref = std::make_unique<engine::Engine>(r.snapshot, opts);
-      }
       if (r.ok()) {
         ++ok_results;
         if (!r.items->empty()) ++nonempty_results;
-      } else {
-        ++error_results;
       }
-      engine::QueryResult rr = ref->Run(queries[i]);
-      if (r.ok() != rr.ok() ||
-          (r.ok() && *r.items != *rr.items) ||
-          (!r.ok() && r.status.code() != rr.status.code())) {
-        DumpSeed(seed, Describe(cfg, iter, queries[i]));
-        DumpTrace(r, Describe(cfg, iter, queries[i]));
-        FAIL() << "differential mismatch at " << Describe(cfg, iter, queries[i])
-               << "\n  live: "
+      Result<std::vector<Pre>> want = Expected(*r.snapshot, queries[i]);
+      if (r.ok() != want.ok() || (r.ok() && *r.items != *want) ||
+          (!r.ok() && r.status.code() != want.status().code())) {
+        DumpSeed(seed, Describe(shards, iter, queries[i]));
+        DumpTrace(r, Describe(shards, iter, queries[i]));
+        FAIL() << "oracle mismatch at " << Describe(shards, iter, queries[i])
+               << "\n  live:   "
                << (r.ok() ? std::to_string(r.items->size()) + " items"
                           : r.status.ToString())
-               << " (epoch " << r.epoch << ")\n  ref:  "
-               << (rr.ok() ? std::to_string(rr.items->size()) + " items"
-                           : rr.status.ToString());
+               << " (epoch " << r.epoch << ")\n  oracle: " << Outcome(want);
       }
     }
   }
 
   EXPECT_GT(ok_results, iters);        // most queries compile and run
   EXPECT_GT(nonempty_results, iters / 4);  // and plenty return items
-  (void)error_results;  // stale-name NotFounds are expected, any count
 
   engine::EngineStats stats = live.Stats();
   EXPECT_EQ(stats.stale_cache_hits, 0u);
@@ -336,21 +327,9 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
   EXPECT_EQ(live.CurrentEpoch(), expected_publishes);
 }
 
-TEST(SnapshotFuzzTest, DifferentialShards1LazyOn) {
-  RunDifferentialFuzz({.shards = 1, .lazy = true});
-}
+TEST(SnapshotFuzzTest, DifferentialShards1) { RunDifferentialFuzz(1); }
 
-TEST(SnapshotFuzzTest, DifferentialShards1LazyOff) {
-  RunDifferentialFuzz({.shards = 1, .lazy = false});
-}
-
-TEST(SnapshotFuzzTest, DifferentialShards4LazyOn) {
-  RunDifferentialFuzz({.shards = 4, .lazy = true});
-}
-
-TEST(SnapshotFuzzTest, DifferentialShards4LazyOff) {
-  RunDifferentialFuzz({.shards = 4, .lazy = false});
-}
+TEST(SnapshotFuzzTest, DifferentialShards4) { RunDifferentialFuzz(4); }
 
 // --- governed differential fuzz (DESIGN.md §13) ------------------------------
 //
@@ -359,9 +338,9 @@ TEST(SnapshotFuzzTest, DifferentialShards4LazyOff) {
 // neither, while this thread publishes new documents underneath the
 // batch and occasionally fires KillAll. The properties under test:
 //
-//   1. A governed query that completes OK is byte-identical to an
-//      ungoverned reference run against its pinned snapshot — limits
-//      that don't trip must be invisible.
+//   1. A governed query that completes OK returns the query oracle's
+//      answer on its pinned snapshot — limits that don't trip must be
+//      invisible.
 //   2. A query stopped by governance reports exactly one of
 //      kCancelled / kDeadlineExceeded / kResourceExhausted.
 //   3. The engine survives: later ungoverned queries still work, and
@@ -379,11 +358,6 @@ TEST(SnapshotFuzzTest, GovernedQueriesUnderConcurrentPublishes) {
   live_opts.num_threads = 4;
   live_opts.rox.tau = 20;
   live_opts.rox.seed = seed;
-
-  engine::EngineOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.enable_cache = false;
-  ref_opts.rox.tau = 20;
 
   NameBook names;
   Corpus corpus;
@@ -449,13 +423,12 @@ TEST(SnapshotFuzzTest, GovernedQueriesUnderConcurrentPublishes) {
       if (r.ok()) {
         ++ok_results;
         ASSERT_NE(r.snapshot, nullptr);
-        engine::EngineOptions opts = ref_opts;
-        opts.rox.seed = seed * 7919 + iter * 131 + i;
-        engine::Engine ref(r.snapshot, opts);
-        engine::QueryResult rr = ref.Run(queries[i]);
-        if (!rr.ok() || *r.items != *rr.items) {
+        Result<std::vector<Pre>> want = Expected(*r.snapshot, queries[i]);
+        if (!want.ok() || *r.items != *want) {
           DumpSeed(seed, context);
-          FAIL() << "governed OK result diverges from oracle at " << context;
+          FAIL() << "governed OK result diverges from oracle at " << context
+                 << "\n  live:   " << r.items->size() << " items"
+                 << "\n  oracle: " << Outcome(want);
         }
       } else {
         switch (r.status.code()) {
@@ -494,6 +467,429 @@ TEST(SnapshotFuzzTest, GovernedQueriesUnderConcurrentPublishes) {
   EXPECT_EQ(stats.queries_budget_exceeded, budget_stops);
   EXPECT_EQ(stats.queries_cancelled, cancel_stops);
   EXPECT_EQ(stats.stale_cache_hits, 0u);
+}
+
+// --- generated queries against the oracle -----------------------------------
+//
+// A seeded generator builds xq::AstQuery values over structural_oracle.h's
+// RandomXml documents (elements a/b/c/d under <root>, `k` attributes
+// 0-4, numeric text 0-99) and renders each one to query text. Every
+// query runs on 1 and 4 shards at tau 5 and tau 100; each run must
+// return the oracle's answer for the AST, status code included.
+// Unsupported shapes are emitted on purpose and must come back
+// Unimplemented, never as an answer.
+
+constexpr Axis kElementAxes[] = {
+    Axis::kChild,          Axis::kDescendant,       Axis::kDescendantOrSelf,
+    Axis::kParent,         Axis::kAncestor,         Axis::kAncestorOrSelf,
+    Axis::kFollowing,      Axis::kPreceding,        Axis::kFollowingSibling,
+    Axis::kPrecedingSibling, Axis::kSelf};
+
+constexpr CmpOp kOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                          CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+
+// The query syntax's spelling of each axis and operator, written out
+// here so rendering shares no table with the parser.
+const char* AxisSyntax(Axis axis) {
+  switch (axis) {
+    case Axis::kChild:
+      return "child";
+    case Axis::kDescendant:
+      return "descendant";
+    case Axis::kDescendantOrSelf:
+      return "descendant-or-self";
+    case Axis::kParent:
+      return "parent";
+    case Axis::kAncestor:
+      return "ancestor";
+    case Axis::kAncestorOrSelf:
+      return "ancestor-or-self";
+    case Axis::kFollowing:
+      return "following";
+    case Axis::kPreceding:
+      return "preceding";
+    case Axis::kFollowingSibling:
+      return "following-sibling";
+    case Axis::kPrecedingSibling:
+      return "preceding-sibling";
+    case Axis::kSelf:
+      return "self";
+    case Axis::kAttribute:
+      return "attribute";
+  }
+  return "?";
+}
+
+const char* OpSyntax(CmpOp op) {
+  switch (op) {
+    case CmpOp::kEq:
+      return "=";
+    case CmpOp::kNe:
+      return "!=";
+    case CmpOp::kLt:
+      return "<";
+    case CmpOp::kLe:
+      return "<=";
+    case CmpOp::kGt:
+      return ">";
+    case CmpOp::kGe:
+      return ">=";
+  }
+  return "?";
+}
+
+std::string RenderStep(const xq::AstStep& s) {
+  using Test = xq::AstStep::Test;
+  if (s.test == Test::kAttribute) return "/@" + s.name;
+  std::string test = s.test == Test::kText        ? "text()"
+                     : s.test == Test::kAnyElement ? "*"
+                                                   : s.name;
+  if (s.axis == Axis::kChild) return "/" + test;
+  if (s.axis == Axis::kDescendant) return "//" + test;
+  return "/" + std::string(AxisSyntax(s.axis)) + "::" + test;
+}
+
+std::string RenderPredicate(const xq::AstPredicate& p) {
+  std::string out = ".";
+  for (const xq::AstStep& s : p.path) out += RenderStep(s);
+  if (p.op.has_value()) {
+    out += " " + std::string(OpSyntax(*p.op)) + " ";
+    out += p.literal_is_number ? p.literal : "\"" + p.literal + "\"";
+  }
+  return out;
+}
+
+std::string RenderPath(const xq::AstPathExpr& p) {
+  std::string out =
+      p.doc_url.empty() ? "$" + p.variable : "doc(\"" + p.doc_url + "\")";
+  for (const auto& ps : p.steps) {
+    out += RenderStep(ps.step);
+    for (const xq::AstPredicateGroup& g : ps.predicate_groups) {
+      out += "[";
+      for (size_t a = 0; a < g.alternatives.size(); ++a) {
+        if (a > 0) out += " or ";
+        for (size_t k = 0; k < g.alternatives[a].size(); ++k) {
+          if (k > 0) out += " and ";
+          out += RenderPredicate(g.alternatives[a][k]);
+        }
+      }
+      out += "]";
+    }
+  }
+  return out;
+}
+
+std::string RenderQuery(const xq::AstQuery& q) {
+  std::string out;
+  for (const xq::AstLet& let : q.lets) {
+    out += "let $" + let.variable + " := " + RenderPath(let.value) + "\n";
+  }
+  for (size_t i = 0; i < q.fors.size(); ++i) {
+    out += (i == 0 ? "for $" : ",\n    $") + q.fors[i].variable + " in " +
+           RenderPath(q.fors[i].domain);
+  }
+  for (size_t i = 0; i < q.where.size(); ++i) {
+    out += (i == 0 ? "\nwhere " : " and ") + RenderPath(q.where[i].lhs) +
+           " " + OpSyntax(q.where[i].op) + " " + RenderPath(q.where[i].rhs);
+  }
+  return out + "\nreturn $" + q.return_variable;
+}
+
+class QueryGenerator {
+ public:
+  QueryGenerator(Rng& rng, std::vector<std::string> docs)
+      : rng_(rng), docs_(std::move(docs)) {}
+
+  // A random query; `*unsupported` is set when it holds a shape the
+  // engine must reject as Unimplemented.
+  xq::AstQuery Next(bool* unsupported) {
+    unsupported_ = false;
+    xq::AstQuery q;
+    // Documents through let variables or direct doc() calls; rarely a
+    // name the corpus does not hold (NotFound).
+    bool use_lets = rng_.Bernoulli(0.5);
+    bool missing = rng_.Bernoulli(0.03);
+    if (use_lets) {
+      for (size_t d = 0; d < docs_.size(); ++d) {
+        xq::AstLet let;
+        let.variable = "d" + std::to_string(d);
+        let.value.doc_url = missing && d == 0 ? "missing.xml" : docs_[d];
+        q.lets.push_back(std::move(let));
+      }
+    }
+    std::vector<bool> value_var;  // text/attribute-valued for-variables
+    const size_t nvars = 1 + rng_.Below(3);
+    for (size_t i = 0; i < nvars; ++i) {
+      xq::AstFor f;
+      f.variable = "v" + std::to_string(i);
+      std::vector<size_t> element_vars;
+      for (size_t j = 0; j < i; ++j) {
+        if (!value_var[j]) element_vars.push_back(j);
+      }
+      if (!element_vars.empty() && rng_.Bernoulli(0.4)) {
+        // From an earlier (element) variable, any element axis.
+        f.domain.variable =
+            "v" + std::to_string(element_vars[rng_.Below(element_vars.size())]);
+        f.domain.steps.push_back(Predicated(ElementStep(AnyAxis())));
+      } else {
+        size_t d = rng_.Below(docs_.size());
+        if (use_lets) {
+          f.domain.variable = "d" + std::to_string(d);
+        } else {
+          f.domain.doc_url = missing && d == 0 ? "missing.xml" : docs_[d];
+        }
+        f.domain.steps.push_back(Predicated(FirstStep()));
+      }
+      if (rng_.Bernoulli(0.4)) {
+        f.domain.steps.push_back(Predicated(ElementStep(AnyAxis())));
+      }
+      bool value = rng_.Bernoulli(0.2);
+      if (value) f.domain.steps.push_back({ValueStep(), {}});
+      value_var.push_back(value);
+      q.fors.push_back(std::move(f));
+    }
+    const size_t ncmp = rng_.Below(3);
+    for (size_t c = 0; c < ncmp; ++c) {
+      size_t l = rng_.Below(nvars), r = rng_.Below(nvars);
+      if (l == r && nvars > 1) r = (l + 1) % nvars;
+      xq::AstComparison cmp;
+      cmp.lhs = Operand(l, value_var[l], /*need_step=*/false);
+      // One variable against itself needs a step on one side, or both
+      // operands lower to the same vertex.
+      cmp.rhs = Operand(r, value_var[r], /*need_step=*/l == r);
+      if (l == r && cmp.rhs.steps.empty()) continue;
+      cmp.op = kOps[rng_.Below(6)];
+      q.where.push_back(std::move(cmp));
+    }
+    q.return_variable = "v" + std::to_string(rng_.Below(nvars));
+    *unsupported = unsupported_ && !missing;
+    return q;
+  }
+
+ private:
+  Axis AnyAxis() { return kElementAxes[rng_.Below(11)]; }
+
+  std::string ElementName() {
+    static const char* kNames[] = {"a", "b", "c", "d"};
+    return rng_.Bernoulli(0.04) ? "e" : kNames[rng_.Below(4)];
+  }
+
+  xq::AstStep ElementStep(Axis axis) {
+    xq::AstStep s;
+    s.axis = axis;
+    s.test = xq::AstStep::Test::kElement;
+    s.name = ElementName();
+    if (rng_.Bernoulli(0.01)) {
+      s.test = xq::AstStep::Test::kAnyElement;
+      s.name.clear();
+      unsupported_ = true;
+    }
+    return s;
+  }
+
+  // The first step out of a document node.
+  xq::AstStep FirstStep() {
+    uint64_t pick = rng_.Below(10);
+    if (pick < 7) return ElementStep(Axis::kDescendant);
+    if (pick < 8) return ElementStep(Axis::kDescendantOrSelf);
+    xq::AstStep s = ElementStep(Axis::kChild);
+    if (s.test == xq::AstStep::Test::kElement && rng_.Bernoulli(0.8)) {
+      s.name = "root";
+    }
+    return s;
+  }
+
+  // A path-final text() or attribute step; values are never stepped
+  // out of, so the generated paths end here.
+  xq::AstStep ValueStep() {
+    xq::AstStep s;
+    if (rng_.Bernoulli(0.5)) {
+      s.axis = Axis::kAttribute;
+      s.test = xq::AstStep::Test::kAttribute;
+      s.name = rng_.Bernoulli(0.05) ? "j" : "k";
+    } else {
+      s.axis = rng_.Bernoulli(0.7) ? Axis::kChild : AnyAxis();
+      s.test = xq::AstStep::Test::kText;
+    }
+    return s;
+  }
+
+  xq::AstPathExpr::PredicatedStep Predicated(xq::AstStep step) {
+    xq::AstPathExpr::PredicatedStep ps{std::move(step), {}};
+    if (ps.step.test == xq::AstStep::Test::kElement &&
+        rng_.Bernoulli(0.3)) {
+      ps.predicate_groups.push_back(Group());
+      if (rng_.Bernoulli(0.2)) ps.predicate_groups.push_back(Group());
+    }
+    return ps;
+  }
+
+  std::vector<xq::AstStep> RelativePath() {
+    std::vector<xq::AstStep> path = {ElementStep(AnyAxis())};
+    if (rng_.Bernoulli(0.3)) path.push_back(ElementStep(AnyAxis()));
+    if (rng_.Bernoulli(0.4)) path.push_back(ValueStep());
+    return path;
+  }
+
+  void Compare(xq::AstPredicate& p) {
+    p.op = kOps[rng_.Below(6)];
+    p.literal = std::to_string(rng_.Below(p.path.back().test ==
+                                                  xq::AstStep::Test::kAttribute
+                                              ? 6
+                                              : 100));
+    p.literal_is_number = true;
+    if (rng_.Bernoulli(0.1)) {
+      // Quoted: a string under = and !=, Unimplemented under a range.
+      p.literal_is_number = false;
+      if (rng_.Bernoulli(0.3)) p.literal = "x";
+      if (p.op != CmpOp::kEq && p.op != CmpOp::kNe) unsupported_ = true;
+    }
+  }
+
+  xq::AstPredicate Predicate() {
+    xq::AstPredicate p;
+    p.path = RelativePath();
+    if (rng_.Bernoulli(0.6)) Compare(p);
+    return p;
+  }
+
+  xq::AstPredicateGroup Group() {
+    xq::AstPredicateGroup g;
+    if (rng_.Bernoulli(0.7)) {
+      g.alternatives.push_back({Predicate()});
+      if (rng_.Bernoulli(0.3)) g.alternatives[0].push_back(Predicate());
+      return g;
+    }
+    // An `or` of comparisons on one relative path (lowerable), or on
+    // purpose one of the shapes that is not.
+    xq::AstPredicate first;
+    first.path = RelativePath();
+    Compare(first);
+    xq::AstPredicate second = first;
+    Compare(second);
+    switch (rng_.Below(8)) {
+      case 0:  // different paths
+        second.path = RelativePath();
+        unsupported_ |= !SamePath(first.path, second.path);
+        break;
+      case 1:  // an existence branch
+        second.op.reset();
+        unsupported_ = true;
+        break;
+      case 2:  // a conjunction inside a branch
+        g.alternatives.push_back({first, Predicate()});
+        g.alternatives.push_back({second});
+        unsupported_ = true;
+        return g;
+      default:
+        break;
+    }
+    g.alternatives.push_back({first});
+    g.alternatives.push_back({second});
+    return g;
+  }
+
+  static bool SamePath(const std::vector<xq::AstStep>& a,
+                       const std::vector<xq::AstStep>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].axis != b[i].axis || a[i].test != b[i].test ||
+          a[i].name != b[i].name) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // A where operand from for-variable `v`: element variables take an
+  // optional element step and value step; value variables stand alone.
+  xq::AstPathExpr Operand(size_t v, bool value, bool need_step) {
+    xq::AstPathExpr p;
+    p.variable = "v" + std::to_string(v);
+    if (value) return p;
+    if (need_step || rng_.Bernoulli(0.6)) {
+      p.steps.push_back({ElementStep(AnyAxis()), {}});
+    }
+    if (rng_.Bernoulli(0.3)) p.steps.push_back({ValueStep(), {}});
+    return p;
+  }
+
+  Rng& rng_;
+  std::vector<std::string> docs_;
+  bool unsupported_ = false;
+};
+
+TEST(SnapshotFuzzTest, GeneratedQueriesMatchOracle) {
+  const uint64_t seed = EnvU64("ROX_FUZZ_SEED", kDefaultSeed);
+  const uint64_t iters = EnvU64("ROX_FUZZ_ITERS", 40);
+  constexpr size_t kQueriesPerIter = 8;
+  Rng rng(seed ^ 0x0c1a55e5ULL);
+  ThreadPool pool(4);
+
+  uint64_t runs = 0, nonempty = 0, unimplemented = 0, not_found = 0;
+  for (uint64_t iter = 0; iter < iters; ++iter) {
+    Corpus corpus;
+    std::vector<std::string> docs;
+    const size_t ndocs = 1 + rng.Below(2);
+    for (size_t d = 0; d < ndocs; ++d) {
+      docs.push_back("g" + std::to_string(d) + ".xml");
+      int elems = 20 + static_cast<int>(rng.Below(30));
+      ASSERT_TRUE(corpus.AddXml(RandomXml(rng, elems), docs.back()).ok());
+    }
+    ShardedCorpus sc(corpus, 4, &pool);
+    ShardedExec ex;
+    ex.shards = &sc;
+    ex.pool = &pool;
+    QueryGenerator gen(rng, docs);
+    for (size_t qi = 0; qi < kQueriesPerIter; ++qi) {
+      bool unsupported = false;
+      xq::AstQuery ast = gen.Next(&unsupported);
+      const std::string text = RenderQuery(ast);
+      Result<std::vector<Pre>> want = OracleQuery(corpus, ast);
+      if (unsupported) {
+        EXPECT_EQ(want.status().code(), StatusCode::kUnimplemented)
+            << text;
+      }
+      for (const ShardedExec* sharded : {(const ShardedExec*)nullptr,
+                                         (const ShardedExec*)&ex}) {
+        for (uint64_t tau : {uint64_t{5}, uint64_t{100}}) {
+          RoxOptions rox;
+          rox.tau = tau;
+          rox.seed = seed + iter * 131 + qi;
+          rox.sharded = sharded;
+          Result<std::vector<Pre>> got = [&]() -> Result<std::vector<Pre>> {
+            ROX_ASSIGN_OR_RETURN(xq::CompiledQuery compiled,
+                                 xq::CompileXQuery(corpus, text));
+            return xq::RunXQuery(corpus, compiled, rox);
+          }();
+          ++runs;
+          if (got.ok()) {
+            nonempty += !got->empty();
+          } else if (got.status().code() == StatusCode::kUnimplemented) {
+            ++unimplemented;
+          } else if (got.status().code() == StatusCode::kNotFound) {
+            ++not_found;
+          }
+          if (got.ok() != want.ok() || (got.ok() && *got != *want) ||
+              (!got.ok() && got.status().code() != want.status().code())) {
+            const std::string context =
+                "generated iter=" + std::to_string(iter) + " shards=" +
+                (sharded != nullptr ? "4" : "1") +
+                " tau=" + std::to_string(tau) + " query=[" + text + "]";
+            DumpSeed(seed, context);
+            FAIL() << "oracle mismatch at " << context
+                   << "\n  engine: " << Outcome(got)
+                   << "\n  oracle: " << Outcome(want);
+          }
+        }
+      }
+    }
+  }
+  // Coverage guards: answers, rejections and unknown documents all
+  // occur, and the answers are not all empty.
+  EXPECT_GT(nonempty, runs / 40);
+  EXPECT_GT(unimplemented, 0u);
+  EXPECT_GT(not_found, 0u);
 }
 
 // --- TSan-targeted publish/read race ----------------------------------------

@@ -183,6 +183,20 @@ TEST(TraceEngineTest, OffByDefaultRecordsNothing) {
   EXPECT_EQ(r.trace_json(), "{}");
 }
 
+// Every span is closed and lies inside its parent's interval.
+void ExpectWellNested(const obs::QueryTrace& trace) {
+  for (const obs::TraceSpan& s : trace.spans()) {
+    SCOPED_TRACE(s.name);
+    EXPECT_GE(s.duration_ns, 0) << "span left open";
+    if (s.parent < 0) continue;
+    const obs::TraceSpan& p = trace.spans()[static_cast<size_t>(s.parent)];
+    EXPECT_GE(s.start_ns, p.start_ns) << "starts before its parent "
+                                      << p.name;
+    EXPECT_LE(s.start_ns + s.duration_ns, p.start_ns + p.duration_ns)
+        << "ends after its parent " << p.name;
+  }
+}
+
 TEST(TraceEngineTest, SpansLevelAttachesTraceToEveryQuery) {
   EngineOptions opts;
   opts.trace_level = obs::TraceLevel::kSpans;
@@ -193,10 +207,21 @@ TEST(TraceEngineTest, SpansLevelAttachesTraceToEveryQuery) {
   EXPECT_EQ(r.trace->level(), obs::TraceLevel::kSpans);
   ASSERT_FALSE(r.trace->spans().empty());
   EXPECT_STREQ(r.trace->spans()[0].name, "query");
+  ExpectWellNested(*r.trace);
   // A cached re-run still gets a trace (provenance says it was replayed).
   QueryResult again = eng.Run(kJoinQuery);
   ASSERT_TRUE(again.status.ok());
+  ASSERT_TRUE(again.result_cache_hit);
   ASSERT_NE(again.trace, nullptr);
+  ExpectWellNested(*again.trace);
+  // An over-cap replay fails without running; its trace ends the same.
+  ASSERT_GT(r.items->size(), 1u);
+  QueryLimits cap;
+  cap.max_result_rows = r.items->size() - 1;
+  QueryResult capped = eng.Run(kJoinQuery, cap);
+  EXPECT_EQ(capped.status.code(), StatusCode::kResourceExhausted);
+  ASSERT_NE(capped.trace, nullptr);
+  ExpectWellNested(*capped.trace);
 }
 
 TEST(TraceEngineTest, ProfileRecordsFullSpanTreeAndEdges) {
@@ -267,9 +292,9 @@ TEST(TraceEngineTest, ExplainRendersPhase1Estimates) {
 
 // --- satellite 4: differential trace agreement -------------------------------
 //
-// The same query under {eager, lazy} x {1 shard, 4 shards} must produce
-// traces that agree on edge order, kernels, and observed cardinalities,
-// and identical results; running with tracing off must change nothing.
+// The same query on 1 shard and on 4 shards must produce traces that
+// agree on edge order, kernels, and observed cardinalities, and
+// identical results; running with tracing off must change nothing.
 // Operator selection is pinned to the cost model
 // (timed_operator_selection = false): the wall-clock race is the one
 // intentionally nondeterministic choice in the executor.
@@ -300,35 +325,29 @@ TEST(TraceDifferentialTest, ModesAgreeOnEdgesKernelsAndCardinalities) {
     std::vector<EdgeSummary> reference_edges;
     std::vector<Pre> reference_items;
     bool have_reference = false;
-    for (bool lazy : {false, true}) {
-      for (size_t shards : {size_t{1}, size_t{4}}) {
-        SCOPED_TRACE(testing::Message()
-                     << (lazy ? "lazy" : "eager") << " x " << shards
-                     << " shard(s)");
-        EngineOptions opts;
-        opts.num_threads = 2;
-        opts.num_shards = shards;
-        opts.lazy_materialization = lazy;
-        opts.rox.lazy_materialization = lazy;
-        opts.rox.timed_operator_selection = false;
-        opts.rox.seed = 0xd1ffe7e57;  // same stream at sequence 0 everywhere
-        Engine eng(MakeCorpus(), opts);
-        QueryResult r = eng.Profile(query);
-        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-        ASSERT_NE(r.trace, nullptr);
-        ASSERT_NE(r.items, nullptr);
-        if (!have_reference) {
-          reference_edges = Summarize(*r.trace);
-          reference_items = *r.items;
-          have_reference = true;
-          ASSERT_FALSE(reference_edges.empty());
-          continue;
-        }
-        EXPECT_EQ(Summarize(*r.trace), reference_edges)
-            << "trace drift:\n"
-            << r.trace->ToTree();
-        EXPECT_EQ(*r.items, reference_items);
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+      EngineOptions opts;
+      opts.num_threads = 2;
+      opts.num_shards = shards;
+      opts.rox.timed_operator_selection = false;
+      opts.rox.seed = 0xd1ffe7e57;  // same stream at sequence 0 everywhere
+      Engine eng(MakeCorpus(), opts);
+      QueryResult r = eng.Profile(query);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      ASSERT_NE(r.trace, nullptr);
+      ASSERT_NE(r.items, nullptr);
+      if (!have_reference) {
+        reference_edges = Summarize(*r.trace);
+        reference_items = *r.items;
+        have_reference = true;
+        ASSERT_FALSE(reference_edges.empty());
+        continue;
       }
+      EXPECT_EQ(Summarize(*r.trace), reference_edges)
+          << "trace drift:\n"
+          << r.trace->ToTree();
+      EXPECT_EQ(*r.items, reference_items);
     }
     // Tracing is observation only: the same engine config with the
     // recorder off returns the identical item sequence.
